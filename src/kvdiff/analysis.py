@@ -1,6 +1,6 @@
 """Per-layer weight-change rates and low-rank compression of K/V deltas."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,20 +51,6 @@ class DeltaCheckpoint:
     modifier_embeddings: list          # [(name, vector)]
     energy_kept: float = 1.0
     config: object = None              # ModelConfig of the producing model
-
-    def clone(self):
-        out = {}
-        for k, e in self.entries.items():
-            out[k] = DeltaEntry(
-                dense=None if e.dense is None else e.dense.copy(),
-                u=None if e.u is None else e.u.copy(),
-                sigma=None if e.sigma is None else e.sigma.copy(),
-                vt=None if e.vt is None else e.vt.copy(),
-                shape=e.shape, residual=e.residual)
-        return DeltaCheckpoint(entries=out,
-                               modifier_embeddings=[(n, v.copy()) for n, v in
-                                                    self.modifier_embeddings],
-                               energy_kept=self.energy_kept, config=self.config)
 
 
 @dataclass

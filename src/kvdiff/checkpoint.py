@@ -82,8 +82,8 @@ def load_container(path):
 
 
 def _sched_meta(sched):
-    return {"T": sched.T, "beta_start": float(sched.betas[0] / (1000.0 / sched.T)),
-            "beta_end": float(sched.betas[-1] / (1000.0 / sched.T))}
+    return {"T": sched.T, "beta_start": float(sched.beta_start),
+            "beta_end": float(sched.beta_end)}
 
 
 def _sched_from_meta(meta):
@@ -91,7 +91,7 @@ def _sched_from_meta(meta):
                                 beta_end=meta["beta_end"])
 
 
-def save_model(path, model, sched, kind=KIND_BASE, extra_meta=None):
+def save_model(path, model, sched, kind=KIND_BASE):
     if kind not in (KIND_BASE, KIND_MERGED):
         raise InvalidInput(f"model checkpoints must be kind base/merged, not {kind!r}")
     vocab = model.vocab
@@ -109,18 +109,14 @@ def save_model(path, model, sched, kind=KIND_BASE, extra_meta=None):
                 {"name": m.name, "token_index": m.token_index,
                  "source_token": m.source_token, "trainable": m.trainable}
                 for _, m in sorted(vocab.modifiers.items())]}
-    if extra_meta:
-        meta.update(extra_meta)
     save_container(path, tensors, meta)
 
 
-def load_model(path, expect_kind=None):
+def load_model(path):
     tensors, meta = load_container(path)
     kind = meta.get("kind")
     if kind not in (KIND_BASE, KIND_MERGED):
         raise InvalidInput(f"expected a model checkpoint, found kind {kind!r}")
-    if expect_kind is not None and kind != expect_kind:
-        raise InvalidInput(f"expected kind {expect_kind!r}, found {kind!r}")
     cfg = ModelConfig(**meta["config"])
     params = ParamRegistry()
     for name, arr in tensors.items():

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analysis, checkpoint, data as datamod, diffusion, evaluation, finetune, merge, textmod
-from .config import config_hash, load_config
+from .config import config_hash, load_config, read_json
 from .denoiser import ModelConfig
 from .errors import InvalidInput, KVDiffError
 
@@ -117,11 +117,8 @@ def cmd_merge(args):
     cfg = load_config(args.config)
     base, sched = checkpoint.load_model(args.base)
     deltas = [checkpoint.load_delta(p) for p in args.delta]
-    with open(args.targets) as fh:
-        captions_per_concept = json.load(fh)
-    with open(args.reg_captions) as fh:
-        reg_captions = json.load(fh)
-    outcome = merge.merge_model(base, deltas, captions_per_concept, reg_captions)
+    outcome = merge.merge_model(base, deltas, read_json(args.targets),
+                                read_json(args.reg_captions))
     checkpoint.save_model(args.out, outcome.model, sched, kind=checkpoint.KIND_MERGED)
     _write_manifest(args.out, "merge", cfg)
     return 0
@@ -315,7 +312,7 @@ def run_command(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except KVDiffError as exc:
+    except (KVDiffError, OSError) as exc:     # bad input or an unreadable/unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,9 @@
-"""Experiment configuration: defaults, JSON loading, strict validation."""
+"""Experiment configuration: the one table of defaults, JSON loading, strict
+validation.
+
+Library signatures and dataclasses (`ModelConfig`, `NoiseSchedule.linear`,
+`FineTuneConfig`, `pretrain`, `ReferenceFeaturizer`) take their defaults
+from `DEFAULT_CONFIG`, so the CLI and the library cannot disagree."""
 
 import copy
 import hashlib
@@ -18,7 +23,6 @@ DEFAULT_CONFIG = {
               "use_aug": True, "seed": 0, "train_modifier": True},
     "retrieval": {"threshold": 0.85, "cap": 200},
     "featurizer": {"feature_dim": 16, "seed": 1234},
-    "seed": 0,
 }
 
 _VALIDATORS = {
@@ -33,15 +37,24 @@ _VALIDATORS = {
 }
 
 
+def read_json(path):
+    """Parse a JSON file; malformed content is InvalidInput naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
+
+
 def _merge_checked(base, override, path=()):
+    if not isinstance(override, dict):
+        raise InvalidInput(f"{'.'.join(path) or 'the configuration'} must be a table")
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
             dotted = ".".join(path + (key,))
             raise InvalidInput(f"unknown configuration key: {dotted}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise InvalidInput(f"{'.'.join(path + (key,))} must be a table")
             out[key] = _merge_checked(base[key], value, path + (key,))
         else:
             out[key] = value
@@ -53,8 +66,7 @@ def load_config(path=None, overrides=None):
     Unknown keys are rejected with the offending key named."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        with open(path) as fh:
-            cfg = _merge_checked(cfg, json.load(fh))
+        cfg = _merge_checked(cfg, read_json(path))
     if overrides:
         cfg = _merge_checked(cfg, overrides)
     for (section, key), check in _VALIDATORS.items():

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffusion, textmod
+from .config import read_json
 from .errors import EmptyRegularizationSetWarning, InvalidInput
 
 
@@ -33,10 +34,8 @@ class AugmentedSample:
 
 
 def load_dataset(path):
-    with open(path) as fh:
-        rows = json.load(fh)
     out = []
-    for row in rows:
+    for row in read_json(path):
         img = np.asarray(row["pixels"], dtype=np.float64).reshape(row["height"], row["width"])
         out.append(ConceptExample(image=img, caption=row["caption"]))
     return out
@@ -71,14 +70,13 @@ def retrieve_regularization(pool, target_caption, threshold, cap, text_featurize
     return RegularizationSet(examples=kept, source="retrieved", target_caption=target_caption)
 
 
-def generate_regularization(model, category, count, seed, sched, steps=None, scale=6.0):
+def generate_regularization(model, category, count, seed, sched, steps, scale):
     """Sample `count` regularization images from the pretrained model with the
     bare-category prompt."""
     prompt = textmod.template_prompt(category)
     vocab = model.vocab
     cond = textmod.encode_caption(vocab, textmod.tokenize(vocab, prompt))
     uncond = textmod.encode_caption(vocab, textmod.tokenize(vocab, ""))
-    steps = steps or sched.T
     examples = []
     for i in range(count):
         img = diffusion.sample_cfg(model, cond, steps, scale, seed + i, sched, uncond=uncond)

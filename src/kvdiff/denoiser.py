@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .errors import InvalidInput
 
 ROLE_CROSS_KEY = "cross_kv_key"
@@ -30,15 +31,18 @@ class ParamKey(NamedTuple):
     name: str
 
 
+_MODEL = DEFAULT_CONFIG["model"]
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    height: int = 8
-    width: int = 8
-    d_model: int = 16
-    d_attn: int = 8
-    d_text: int = 8
-    hidden: int = 32
-    blocks: int = 2
+    height: int = _MODEL["height"]
+    width: int = _MODEL["width"]
+    d_model: int = _MODEL["d_model"]
+    d_attn: int = _MODEL["d_attn"]
+    d_text: int = _MODEL["d_text"]
+    hidden: int = _MODEL["hidden"]
+    blocks: int = _MODEL["blocks"]
 
     @property
     def n_tokens(self):
@@ -51,20 +55,14 @@ class ParamRegistry(dict):
     def sorted_keys(self):
         return sorted(self.keys())
 
-    def keys_for_role(self, role):
-        return [k for k in self.sorted_keys() if k.role == role]
-
     def clone(self):
         out = ParamRegistry()
         for k in self.sorted_keys():
             out[k] = self[k].copy()
         return out
 
-    def param_count(self):
-        return sum(v.size for v in self.values())
 
-
-def init_params(cfg, seed=0):
+def init_params(cfg, seed):
     """Scaled-Gaussian init (std = 1/sqrt(fan_in)); output projection is
     zeroed so the untrained model predicts zero noise."""
     rng = np.random.default_rng(seed)
@@ -130,14 +128,16 @@ class DenoiserNet:
         return self._pos
 
     def predict(self, x_t, t, c):
-        return predict_eps(self, x_t, t, c)
+        """Predicted noise for x_t at step t under caption features c."""
+        eps, _, _ = forward(self, x_t, t, c)
+        return eps
 
     def clone(self):
         vocab = self.vocab.clone() if self.vocab is not None else None
         return DenoiserNet(config=self.config, params=self.params.clone(), vocab=vocab)
 
 
-def build_model(cfg=None, seed=0, vocab=None):
+def build_model(cfg=None, *, seed, vocab=None):
     cfg = cfg or ModelConfig()
     return DenoiserNet(config=cfg, params=init_params(cfg, seed), vocab=vocab)
 
@@ -146,25 +146,6 @@ def softmax_rows(z):
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_attention(f, c, wq, wk, wv, layer=0, timestep=0, grid=(0, 0)):
-    """Single-head attention: out = Softmax(Q K^T / sqrt(d')) V with
-    Q = f wq^T, K = c wk^T, V = c wv^T. Returns (out, trace)."""
-    f = np.asarray(f, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if f.shape[1] != wq.shape[1]:
-        raise InvalidInput(f"query input dim {f.shape[1]} != wq fan-in {wq.shape[1]}")
-    if c.shape[1] != wk.shape[1] or c.shape[1] != wv.shape[1]:
-        raise InvalidInput("text feature dim incompatible with wk/wv")
-    if not (wq.shape[0] == wk.shape[0] == wv.shape[0]):
-        raise InvalidInput("wq/wk/wv must share output dim")
-    q = f @ wq.T
-    k = c @ wk.T
-    v = c @ wv.T
-    a = softmax_rows(q @ k.T / np.sqrt(wq.shape[0]))
-    trace = AttentionTrace(weights=a, layer=layer, timestep=timestep, grid=grid)
-    return a @ v, trace
 
 
 def _attn_forward(f, c, wq, wk, wv):
@@ -299,11 +280,6 @@ def backward(model, cache, d_eps):
     dte = df.sum(axis=0)
     grads[ParamKey(0, ROLE_OTHER, "w_time")] += np.outer(dte, cache["s_t"])
     return grads, d_c
-
-
-def predict_eps(model, x_t, t, c):
-    eps, _, _ = forward(model, x_t, t, c)
-    return eps
 
 
 def predict_eps_with_traces(model, x_t, t, c):

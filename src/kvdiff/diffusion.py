@@ -4,30 +4,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .errors import InvalidInput, NumericalFailure
+
+
+_SCHEDULE = DEFAULT_CONFIG["schedule"]
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Linear-beta DDPM schedule. Timesteps are 1-based; alpha_bar[t-1] stores
-    the cumulative product at step t and alpha_bar_at(0) == 1 by convention."""
+    the cumulative product at step t and alpha_bar_at(0) == 1 by convention.
+    T, beta_start and beta_end are kept as given so a checkpoint can rebuild
+    the exact same betas."""
 
     betas: np.ndarray
     alpha_bar: np.ndarray
     T: int
+    beta_start: float
+    beta_end: float
 
     @classmethod
-    def linear(cls, T=100, beta_start=1e-4, beta_end=0.02, rescale=True):
+    def linear(cls, T=_SCHEDULE["T"], beta_start=_SCHEDULE["beta_start"],
+               beta_end=_SCHEDULE["beta_end"]):
         if T < 1:
             raise InvalidInput("T must be >= 1")
-        # betas are tuned for 1000-step chains; rescale keeps alpha_bar_T
+        # betas are tuned for 1000-step chains; rescaling keeps alpha_bar_T
         # comparable when running shorter chains.
-        scale = 1000.0 / T if rescale else 1.0
-        betas = np.linspace(beta_start, beta_end, T) * scale
+        betas = np.linspace(beta_start, beta_end, T) * (1000.0 / T)
         if np.any(betas >= 1.0):
             raise InvalidInput("beta schedule leaves (0,1); reduce beta_end or increase T")
         alpha_bar = np.cumprod(1.0 - betas)
-        return cls(betas=betas, alpha_bar=alpha_bar, T=T)
+        return cls(betas=betas, alpha_bar=alpha_bar, T=T, beta_start=beta_start,
+                   beta_end=beta_end)
 
     def alpha_bar_at(self, t):
         if t == 0:
@@ -37,13 +46,6 @@ class NoiseSchedule:
         return float(self.alpha_bar[t - 1])
 
 
-@dataclass(frozen=True)
-class NoisySample:
-    x_t: np.ndarray
-    t: int
-    eps: np.ndarray
-
-
 def forward_noise(x0, t, eps, sched):
     """x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -51,23 +53,20 @@ def forward_noise(x0, t, eps, sched):
     if x0.shape != eps.shape:
         raise InvalidInput(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
     ab = sched.alpha_bar_at(t)
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    return NoisySample(x_t=x_t, t=t, eps=eps)
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def simple_loss(eps, eps_pred, w_t=1.0):
-    """Weighted mean squared error between true and predicted noise."""
+def simple_loss(eps, eps_pred):
+    """Mean squared error between true and predicted noise."""
     eps = np.asarray(eps, dtype=np.float64)
     eps_pred = np.asarray(eps_pred, dtype=np.float64)
     if eps.shape != eps_pred.shape:
         raise InvalidInput(f"shape mismatch: {eps.shape} vs {eps_pred.shape}")
-    if w_t < 0:
-        raise InvalidInput("w_t must be non-negative")
     diff = eps - eps_pred
-    return float(w_t * np.mean(diff * diff))
+    return float(np.mean(diff * diff))
 
 
-def masked_loss(eps, eps_pred, mask, w_t=1.0):
+def masked_loss(eps, eps_pred, mask):
     """MSE restricted to pixels where mask == 1; used for valid-region training."""
     eps = np.asarray(eps, dtype=np.float64)
     eps_pred = np.asarray(eps_pred, dtype=np.float64)
@@ -78,7 +77,7 @@ def masked_loss(eps, eps_pred, mask, w_t=1.0):
     if total == 0:
         raise InvalidInput("mask selects no pixels")
     diff = (eps - eps_pred) * mask
-    return float(w_t * np.sum(diff * diff) / total)
+    return float(np.sum(diff * diff) / total)
 
 
 def sampling_timesteps(T, steps):
@@ -91,12 +90,13 @@ def sampling_timesteps(T, steps):
     return ts[::-1]
 
 
-def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None, clip_x0=True):
+def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     """Ancestral DDPM sampling with classifier-free guidance.
 
     model must expose predict(x_t, t, c) -> eps and image_shape. Guidance is
     eps_u + scale * (eps_c - eps_u); at scale == 1 the unconditional branch is
-    skipped. Deterministic for a fixed seed.
+    skipped. The predicted x0 is clipped to the image range [-1, 1].
+    Deterministic for a fixed seed.
     """
     if scale < 0:
         raise InvalidInput("scale must be non-negative")
@@ -118,9 +118,7 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None, clip_x0=True
         ab_t = sched.alpha_bar_at(t)
         t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
         ab_p = sched.alpha_bar_at(t_prev)
-        x0_hat = (x - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
-        if clip_x0:
-            x0_hat = np.clip(x0_hat, -1.0, 1.0)
+        x0_hat = np.clip((x - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t), -1.0, 1.0)
         beta_eff = 1.0 - ab_t / ab_p
         coef_x0 = np.sqrt(ab_p) * beta_eff / (1.0 - ab_t)
         coef_xt = np.sqrt(ab_t / ab_p) * (1.0 - ab_p) / (1.0 - ab_t)

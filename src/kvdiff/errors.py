@@ -9,10 +9,6 @@ class InvalidInput(KVDiffError):
     pass
 
 
-class SingularMatrix(KVDiffError):
-    pass
-
-
 class NumericalFailure(KVDiffError):
     pass
 

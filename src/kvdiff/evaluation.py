@@ -5,7 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textmod
+from .config import DEFAULT_CONFIG
 from .errors import InvalidInput
+
+_FEATURIZER = DEFAULT_CONFIG["featurizer"]
 
 
 @dataclass
@@ -27,7 +30,8 @@ class ReferenceFeaturizer:
     projection with a tanh nonlinearity, unit-normalized, shared output space
     for images and pooled text embeddings. Independent of all trained models."""
 
-    def __init__(self, image_shape, text_dim, feature_dim=16, seed=1234):
+    def __init__(self, image_shape, text_dim, feature_dim=_FEATURIZER["feature_dim"],
+                 seed=_FEATURIZER["seed"]):
         self.image_shape = tuple(image_shape)
         self.text_dim = text_dim
         self.feature_dim = feature_dim

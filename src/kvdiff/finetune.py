@@ -3,32 +3,34 @@ restricted to cross-attention key/value projections plus modifier-token
 embeddings, the fine-tune-all baseline, joint and sequential multi-concept
 training, and base-model pretraining."""
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as datamod
 from . import denoiser, diffusion, textmod
+from .config import DEFAULT_CONFIG
 from .denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
 from .errors import DivergenceError, InvalidInput, NumericalFailure
 
 SCOPE_KV_ONLY = "kv_only"
 SCOPE_ALL = "all_unet"
 
+_TRAIN = DEFAULT_CONFIG["train"]
+_PRETRAIN = DEFAULT_CONFIG["pretrain"]
+
 
 @dataclass
 class FineTuneConfig:
-    steps: int = 250
-    learning_rate: float = 1e-3
-    batch: int = 8
-    trainable_scope: str = SCOPE_KV_ONLY
-    use_reg: str = "retrieved"          # retrieved | generated | none
-    use_aug: bool = True
-    seed: int = 0
-    train_modifier: bool = True         # off reproduces the no-modifier-optimization ablation
+    steps: int = _TRAIN["steps"]
+    learning_rate: float = _TRAIN["learning_rate"]
+    batch: int = _TRAIN["batch"]
+    trainable_scope: str = _TRAIN["trainable_scope"]   # kv_only | all_unet
+    use_reg: str = _TRAIN["use_reg"]                   # retrieved | generated | none
+    use_aug: bool = _TRAIN["use_aug"]
+    seed: int = _TRAIN["seed"]
+    train_modifier: bool = _TRAIN["train_modifier"]    # off: the no-modifier-optimization ablation
     cond_dropout: float = 0.0
-    w_t: float = 1.0
 
     def __post_init__(self):
         if self.steps < 0:
@@ -41,15 +43,6 @@ class FineTuneConfig:
             raise InvalidInput(f"unknown scope {self.trainable_scope!r}")
         if self.use_reg not in ("retrieved", "generated", "none"):
             raise InvalidInput(f"unknown use_reg {self.use_reg!r}")
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls(**json.load(fh))
 
 
 @dataclass
@@ -84,8 +77,8 @@ def sgd_step(params, grads, lr):
     return out
 
 
-def batch_gradients(model, examples, sched, rng, w_t=1.0, modifier_indices=(),
-                    cond_dropout=0.0, uncond_caption=""):
+def batch_gradients(model, examples, sched, rng, modifier_indices=(),
+                    cond_dropout=0.0):
     """Average loss and gradients over a batch of (image, caption, mask) draws.
 
     examples: iterable of (AugmentedSample-or-ConceptExample). Returns
@@ -102,19 +95,19 @@ def batch_gradients(model, examples, sched, rng, w_t=1.0, modifier_indices=(),
         caption = ex.caption
         mask = getattr(ex, "valid_mask", None)
         if cond_dropout > 0.0 and rng.random() < cond_dropout:
-            caption = uncond_caption
+            caption = ""    # the unconditional branch used by guidance
         t = int(rng.integers(1, sched.T + 1))
         eps = rng.standard_normal(image.shape)
-        noisy = diffusion.forward_noise(image, t, eps, sched)
+        x_t = diffusion.forward_noise(image, t, eps, sched)
         seq = textmod.tokenize(vocab, caption)
         c = textmod.encode_caption(vocab, seq)
-        eps_pred, cache, _ = denoiser.forward(model, noisy.x_t, t, c)
+        eps_pred, cache, _ = denoiser.forward(model, x_t, t, c)
         if mask is None:
-            loss = diffusion.simple_loss(eps, eps_pred, w_t)
-            d_pred = -2.0 * w_t * (eps - eps_pred) / eps.size
+            loss = diffusion.simple_loss(eps, eps_pred)
+            d_pred = -2.0 * (eps - eps_pred) / eps.size
         else:
-            loss = diffusion.masked_loss(eps, eps_pred, mask, w_t)
-            d_pred = -2.0 * w_t * mask * (eps - eps_pred) / mask.sum()
+            loss = diffusion.masked_loss(eps, eps_pred, mask)
+            d_pred = -2.0 * mask * (eps - eps_pred) / mask.sum()
         g, d_c = denoiser.backward(model, cache, d_pred)
         for k in grads:
             grads[k] += g[k]
@@ -147,7 +140,7 @@ def _train(model, example_stream, cfg, sched, trainable, modifier_indices, rng,
             else:
                 batch.append(ex)
         loss, grads, emb_grads = batch_gradients(
-            model, batch, sched, rng, w_t=cfg.w_t,
+            model, batch, sched, rng,
             modifier_indices=modifier_indices if cfg.train_modifier else (),
             cond_dropout=cfg.cond_dropout)
         masked = {k: grads[k] for k in trainable}
@@ -215,8 +208,10 @@ def finetune_sequential(model, concept_a, concept_b, cfg, reg=None, sched=None):
         model=rep_b.model)
 
 
-def pretrain(vocab, dataset, model_cfg=None, sched=None, steps=2000, learning_rate=1e-2,
-             batch=8, seed=0, cond_dropout=0.1, init_seed=0):
+def pretrain(vocab, dataset, model_cfg=None, sched=None, steps=_PRETRAIN["steps"],
+             learning_rate=_PRETRAIN["learning_rate"], batch=_PRETRAIN["batch"],
+             seed=_PRETRAIN["seed"], cond_dropout=_PRETRAIN["cond_dropout"],
+             init_seed=_PRETRAIN["init_seed"]):
     """Train a base model from scratch on a captioned dataset, with caption
     dropout so classifier-free guidance has a meaningful unconditional branch."""
     sched = sched or diffusion.NoiseSchedule.linear()

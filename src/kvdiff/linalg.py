@@ -1,4 +1,4 @@
-"""Dense linear algebra helpers: thin SVD, ridge-regularized solves, Frobenius norms.
+"""Dense linear algebra helpers: matrix validation, thin SVD, Frobenius norms.
 
 Everything operates on float64 2-D numpy arrays. Inputs are validated for
 finiteness once at the boundary; internals assume clean data.
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, SingularMatrix
+from .errors import InvalidInput
 
 
 def as_matrix(a, name="matrix"):
@@ -27,9 +27,6 @@ class SvdResult:
     sigma: np.ndarray    # (r,) non-negative, descending
     vt: np.ndarray       # (r, n)
 
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.vt
-
 
 def thin_svd(a):
     """Thin SVD with r = min(m, n); sigma descending."""
@@ -41,27 +38,3 @@ def thin_svd(a):
 def frobenius_norm(a):
     a = as_matrix(a)
     return float(np.sqrt(np.sum(a * a)))
-
-
-def solve_ridge(a, b, lam=0.0):
-    """Minimize ||a x - b||_F^2 + lam ||x||_F^2.
-
-    With lam = 0 the system must be full column rank, otherwise
-    SingularMatrix is raised; callers wanting a fallback pass lam > 0
-    (default auto value 1e-8 used elsewhere in the package).
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if lam < 0:
-        raise InvalidInput("lambda must be non-negative")
-    if a.shape[0] != b.shape[0]:
-        raise InvalidInput(f"row mismatch: a has {a.shape[0]}, b has {b.shape[0]}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if lam == 0.0:
-        tol = max(a.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-        if s.size == 0 or s[-1] <= tol:
-            raise SingularMatrix("rank-deficient system with lambda = 0")
-        filt = 1.0 / s
-    else:
-        filt = s / (s * s + lam)
-    return vt.T @ ((u.T @ b) * filt[:, None])

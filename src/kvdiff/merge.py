@@ -1,6 +1,6 @@
 """Closed-form merging of fine-tuned concept weights.
 
-Per layer and projection slot we solve
+For every cross-attention key/value projection we solve
 
     min_W || (W - W0) C_reg^T ||_F   s.t.   W C^T = V,
 
@@ -14,7 +14,7 @@ A generic per-row KKT solve provides an independent oracle for the same
 optimum.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class MergeSolution:
     constraint_residual: float
     objective_value: float
     conditioning: float
-    ridge_applied: float = 0.0
+    ridge_applied: float
 
 
 def build_targets(problem):
@@ -175,15 +175,19 @@ def reg_feature_rows(vocab, captions):
 @dataclass
 class MergeOutcome:
     model: object
-    solutions: dict = field(default_factory=dict)   # (layer, role) -> MergeSolution
+    solutions: dict        # ((layer, role), ...) -> MergeSolution
 
 
-def merge_model(base, deltas, captions_per_concept, reg_captions, use_oracle=False):
+def merge_model(base, deltas, captions_per_concept, reg_captions):
     """Merge N fine-tuned K/V deltas into one model via the constrained solve.
 
     deltas: list of DeltaCheckpoint (dense or low-rank). captions_per_concept:
     one caption list per delta, whose content words (modifier + category)
     define the constraint rows. reg_captions: caption pool providing C_reg.
+
+    The objective and the constraints separate by output row, and every K/V
+    matrix shares C and C_reg, so the rows of all of them are stacked into
+    one problem and solved at once.
     """
     from .analysis import reconstruct_entry  # local import to avoid a cycle
 
@@ -205,32 +209,22 @@ def merge_model(base, deltas, captions_per_concept, reg_captions, use_oracle=Fal
     c_rows, owners = _target_rows(vocab_list, captions_per_concept)
     creg = reg_feature_rows(base.vocab, reg_captions)
 
-    outcome = MergeOutcome(model=merged)
-    for key in base.params.sorted_keys():
-        if key.role not in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE):
-            continue
-        w0 = base.params[key]
-        concept_ws = []
-        for delta in deltas:
+    keys = [k for k in base.params.sorted_keys()
+            if k.role in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE)]
+    concept_ws = []
+    for delta in deltas:
+        rows = []
+        for key in keys:
             entry = delta.entries.get((key.layer, key.role))
-            concept_ws.append(w0 + (reconstruct_entry(entry) if entry is not None
-                                    else np.zeros_like(w0)))
-        problem = MergeProblem(w0=w0, concept_weights=concept_ws,
-                               target_features=c_rows, owners=owners,
-                               reg_features=creg)
-        try:
-            if use_oracle:
-                w_hat = solve_kkt_oracle(problem)
-                v_mat = build_targets(problem)
-                sol = MergeSolution(
-                    w_hat=w_hat,
-                    constraint_residual=frobenius_norm(w_hat @ c_rows.T - v_mat),
-                    objective_value=frobenius_norm((w_hat - w0) @ creg.T),
-                    conditioning=0.0)
-            else:
-                sol = solve_closed_form(problem)
-        except (DegenerateRegularization, SingularTargetSystem) as exc:
-            raise type(exc)(f"layer {key.layer} {key.role}: {exc}") from None
-        merged.params[key] = sol.w_hat
-        outcome.solutions[(key.layer, key.role)] = sol
-    return outcome
+            rows.append(base.params[key] + (reconstruct_entry(entry) if entry is not None
+                                            else 0.0))
+        concept_ws.append(np.vstack(rows))
+    problem = MergeProblem(w0=np.vstack([base.params[k] for k in keys]),
+                           concept_weights=concept_ws, target_features=c_rows,
+                           owners=owners, reg_features=creg)
+    sol = solve_closed_form(problem)
+    ends = np.cumsum([base.params[k].shape[0] for k in keys])
+    for key, w_hat in zip(keys, np.split(sol.w_hat, ends[:-1])):
+        merged.params[key] = w_hat
+    return MergeOutcome(model=merged,
+                        solutions={tuple((k.layer, k.role) for k in keys): sol})

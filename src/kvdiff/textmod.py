@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import read_json
 from .errors import InvalidInput, NoRareToken, UnknownToken
 
 START_TOKEN = "<s>"
@@ -68,8 +69,7 @@ def build_vocabulary(tokens, counts, dim, seed=0, scale=1.0):
 
 
 def load_vocabulary(path):
-    with open(path) as fh:
-        spec = json.load(fh)
+    spec = read_json(path)
     return build_vocabulary(spec["tokens"], spec["counts"], spec["dim"], spec.get("seed", 0),
                             scale=spec.get("scale", 1.0))
 
@@ -85,10 +85,6 @@ def save_vocabulary_spec(vocab, path):
 def tokenize(vocab, caption):
     words = caption.split()
     return [vocab.start_token] + [vocab.index(w) for w in words]
-
-
-def detokenize(vocab, seq):
-    return " ".join(vocab.tokens[i] for i in seq if i != vocab.start_token)
 
 
 def select_rare_token(vocab, exclude=()):

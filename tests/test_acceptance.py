@@ -112,16 +112,16 @@ def test_gradient_fidelity(capsys, pretrained, schedule):
     x0 = fixtures.target_concept()[0].image
     t = 37
     eps = rng.standard_normal(x0.shape)
-    noisy = diffusion.forward_noise(x0, t, eps, schedule)
+    x_t = diffusion.forward_noise(x0, t, eps, schedule)
     seq = textmod.tokenize(model.vocab, "photo of a <new1> blob")
 
     def loss():
         c = textmod.encode_caption(model.vocab, seq)
-        pred = denoiser.predict_eps(model, noisy.x_t, t, c)
+        pred = model.predict(x_t, t, c)
         return diffusion.simple_loss(eps, pred)
 
     c = textmod.encode_caption(model.vocab, seq)
-    pred, cache, _ = denoiser.forward(model, noisy.x_t, t, c)
+    pred, cache, _ = denoiser.forward(model, x_t, t, c)
     d_pred = -2.0 * (eps - pred) / eps.size
     grads, d_c = denoiser.backward(model, cache, d_pred)
 

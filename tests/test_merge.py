@@ -4,7 +4,8 @@ The exhaustive optimality/oracle sweep lives in the acceptance suite."""
 import numpy as np
 import pytest
 
-from kvdiff import merge, textmod
+from kvdiff import analysis, data as datamod, diffusion, finetune, merge, textmod
+from kvdiff.denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
 from kvdiff.errors import (DegenerateRegularization, InvalidInput,
                            SingularTargetSystem)
 
@@ -109,3 +110,57 @@ def test_reg_feature_rows():
     # each caption contributes start token + 4 words
     assert rows.shape == (10, 4)
     np.testing.assert_array_equal(rows[0], base.embeddings[base.start_token])
+
+
+def _real_delta(base, name, source, category, seed):
+    """A kv_only fine-tune of `base` on random images captioned with a new
+    modifier, returned as a delta against `base`."""
+    model = base.clone()
+    mod = textmod.register_modifier(model.vocab, name, source=source)
+    rng = np.random.default_rng(seed)
+    examples = [datamod.ConceptExample(image=rng.uniform(-1, 1, model.image_shape),
+                                       caption=f"photo of a {name} {category}")
+                for _ in range(3)]
+    cfg = finetune.FineTuneConfig(steps=4, learning_rate=0.05, batch=2,
+                                  use_reg="none", use_aug=False, seed=seed)
+    report = finetune.finetune(model, [(examples, mod)], cfg,
+                               sched=diffusion.NoiseSchedule.linear(T=25))
+    return analysis.extract_delta(base, report.model)
+
+
+def test_merge_model_on_two_fine_tuned_deltas(tiny_model):
+    # modifiers seeded from template words keep the four target rows apart
+    deltas = [_real_delta(tiny_model, "<new1>", "photo", "blob", 1),
+              _real_delta(tiny_model, "<new2>", "of", "ring", 2)]
+    captions = [["photo of a <new1> blob"], ["photo of a <new2> ring"]]
+    reg_captions = ["photo of a blob", "photo of a ring"]
+    outcome = merge.merge_model(tiny_model, deltas, captions, reg_captions)
+
+    vocabs = []
+    for delta in deltas:
+        vocab = tiny_model.vocab.clone()
+        for name, emb in delta.modifier_embeddings:
+            textmod.register_modifier_with_embedding(vocab, name, emb)
+        vocabs.append(vocab)
+    c_rows, owners = merge._target_rows(vocabs, captions)
+    creg = merge.reg_feature_rows(tiny_model.vocab, reg_captions)
+    kv = [k for k in tiny_model.params.sorted_keys()
+          if k.role in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE)]
+    for key in tiny_model.params.sorted_keys():
+        w_hat = outcome.model.params[key]
+        w0 = tiny_model.params[key]
+        if key not in kv:
+            assert w_hat.tobytes() == w0.tobytes(), key
+            continue
+        problem = merge.MergeProblem(
+            w0=w0, concept_weights=[w0 + d.entries[(key.layer, key.role)].dense
+                                    for d in deltas],
+            target_features=c_rows, owners=owners, reg_features=creg)
+        v_mat = merge.build_targets(problem)
+        assert np.linalg.norm(w_hat @ c_rows.T - v_mat) <= 1e-8 * np.linalg.norm(v_mat), key
+        w_kkt = merge.solve_kkt_oracle(problem)
+        assert np.linalg.norm(w_hat - w_kkt) <= 1e-6 * max(np.linalg.norm(w_kkt), 1.0), key
+        # the deltas are real: each concept moved this matrix
+        assert all(np.any(d.entries[(key.layer, key.role)].dense != 0) for d in deltas)
+    assert len(outcome.solutions) == 1
+    assert sorted(outcome.model.vocab.modifiers) == ["<new1>", "<new2>"]
