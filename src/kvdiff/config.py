@@ -37,13 +37,60 @@ _VALIDATORS = {
 }
 
 
-def read_json(path):
-    """Parse a JSON file; malformed content is InvalidInput naming the file."""
+def _is_int(v, low=0):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list(v, item):
+    return isinstance(v, list) and all(item(x) for x in v)
+
+
+def _is_strings(v):
+    return _is_list(v, lambda c: isinstance(c, str))
+
+
+def _is_dataset(rows):
+    return _is_list(rows, lambda r: (
+        isinstance(r, dict) and isinstance(r.get("caption"), str)
+        and _is_int(r.get("height"), 1) and _is_int(r.get("width"), 1)
+        and _is_list(r.get("pixels"), _is_number)
+        and len(r["pixels"]) == r["height"] * r["width"]))
+
+
+def _is_vocabulary(spec):
+    return (isinstance(spec, dict) and _is_strings(spec.get("tokens"))
+            and isinstance(spec.get("counts"), dict)
+            and all(_is_number(c) for c in spec["counts"].values())
+            and _is_int(spec.get("dim"), 1) and _is_int(spec.get("seed", 0))
+            and _is_number(spec.get("scale", 1.0)) and spec.get("scale", 1.0) >= 0)
+
+
+# JSON input kind -> (what the error says the file must be, structure check)
+JSON_KINDS = {
+    "config": ("a table", lambda v: isinstance(v, dict)),
+    "dataset": ("a list of {caption, height, width, pixels} rows", _is_dataset),
+    "vocabulary": ("a vocabulary spec {tokens, counts, dim[, seed, scale]}", _is_vocabulary),
+    "targets": ("a list of caption lists", lambda v: _is_list(v, _is_strings)),
+    "captions": ("a non-empty list of captions", lambda v: bool(v) and _is_strings(v)),
+}
+
+
+def read_json(path, kind):
+    """Parse a JSON file and check it has the structure of `kind`, a key of
+    JSON_KINDS; malformed content is InvalidInput naming the file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except ValueError as exc:
             raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
+    what, check = JSON_KINDS[kind]
+    if not check(data):
+        raise InvalidInput(f"{path} is not {what}")
+    return data
 
 
 def _merge_checked(base, override, path=()):
@@ -66,7 +113,7 @@ def load_config(path=None, overrides=None):
     Unknown keys are rejected with the offending key named."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        cfg = _merge_checked(cfg, read_json(path))
+        cfg = _merge_checked(cfg, read_json(path, "config"))
     if overrides:
         cfg = _merge_checked(cfg, overrides)
     for (section, key), check in _VALIDATORS.items():

@@ -35,7 +35,7 @@ class AugmentedSample:
 
 def load_dataset(path):
     out = []
-    for row in read_json(path):
+    for row in read_json(path, "dataset"):
         img = np.asarray(row["pixels"], dtype=np.float64).reshape(row["height"], row["width"])
         out.append(ConceptExample(image=img, caption=row["caption"]))
     return out
@@ -74,14 +74,10 @@ def generate_regularization(model, category, count, seed, sched, steps, scale):
     """Sample `count` regularization images from the pretrained model with the
     bare-category prompt."""
     prompt = textmod.template_prompt(category)
-    vocab = model.vocab
-    cond = textmod.encode_caption(vocab, textmod.tokenize(vocab, prompt))
-    uncond = textmod.encode_caption(vocab, textmod.tokenize(vocab, ""))
-    examples = []
-    for i in range(count):
-        img = diffusion.sample_cfg(model, cond, steps, scale, seed + i, sched, uncond=uncond)
-        examples.append(ConceptExample(image=img, caption=prompt))
-    return RegularizationSet(examples=examples, source="generated", target_caption=prompt)
+    images = diffusion.sample_prompt(model, prompt, count, seed, sched, steps, scale)
+    return RegularizationSet(examples=[ConceptExample(image=img, caption=prompt)
+                                       for img in images],
+                             source="generated", target_caption=prompt)
 
 
 def _nearest_resize(image, new_h, new_w):

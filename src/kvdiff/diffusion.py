@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textmod
 from .config import DEFAULT_CONFIG
 from .errors import InvalidInput, NumericalFailure
 
@@ -131,3 +132,13 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
         if not np.all(np.isfinite(x)):
             raise NumericalFailure(f"non-finite sample state at t={t}")
     return x
+
+
+def sample_prompt(model, prompt, count, seed, sched, steps, scale):
+    """`count` guided samples of one prompt from `model` (which also exposes
+    its vocabulary), drawn with seeds seed, seed + 1, ..."""
+    vocab = model.vocab
+    cond = textmod.encode_caption(vocab, textmod.tokenize(vocab, prompt))
+    uncond = textmod.encode_caption(vocab, textmod.tokenize(vocab, ""))
+    return [sample_cfg(model, cond, steps, scale, seed + i, sched, uncond=uncond)
+            for i in range(count)]

@@ -48,9 +48,8 @@ class FineTuneConfig:
 @dataclass
 class TrainReport:
     loss_curve: np.ndarray
-    final_params: denoiser.ParamRegistry
     modifier_embeddings: list
-    model: denoiser.DenoiserNet = field(default=None, repr=False)
+    model: denoiser.DenoiserNet = field(repr=False)
 
 
 def trainable_set(model, scope):
@@ -127,8 +126,7 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
     return total_loss / n, grads, emb_grads
 
 
-def _train(model, example_stream, cfg, sched, trainable, modifier_indices, rng,
-           augment_flags=None):
+def _train(model, example_stream, cfg, sched, trainable, modifier_indices, rng):
     loss_curve = []
     initial_loss = None
     for _ in range(cfg.steps):
@@ -185,7 +183,6 @@ def finetune(model, concepts, cfg, reg=None, sched=None):
     curve = _train(tuned, stream, cfg, sched, trainable, modifier_indices, rng)
     report = TrainReport(
         loss_curve=curve,
-        final_params=tuned.params,
         modifier_embeddings=[(m.name, tuned.vocab.embeddings[m.token_index].copy())
                              for m in mods],
         model=tuned)
@@ -203,7 +200,6 @@ def finetune_sequential(model, concept_a, concept_b, cfg, reg=None, sched=None):
         rep_b.model.vocab.index(name)].copy()) for name in mods]
     return TrainReport(
         loss_curve=np.concatenate([rep_a.loss_curve, rep_b.loss_curve]),
-        final_params=rep_b.final_params,
         modifier_embeddings=final_mods,
         model=rep_b.model)
 

@@ -69,7 +69,7 @@ def build_vocabulary(tokens, counts, dim, seed=0, scale=1.0):
 
 
 def load_vocabulary(path):
-    spec = read_json(path)
+    spec = read_json(path, "vocabulary")
     return build_vocabulary(spec["tokens"], spec["counts"], spec["dim"], spec.get("seed", 0),
                             scale=spec.get("scale", 1.0))
 

@@ -73,7 +73,7 @@ def _argv(d, command):
     }[command] + ["--out", p("out")]
 
 
-@pytest.mark.parametrize("broken", ["missing", "malformed"])
+@pytest.mark.parametrize("broken", ["missing", "malformed", "wrong-shape"])
 @pytest.mark.parametrize("flag,command", [
     ("--config", "retrieve-reg"), ("--vocab", "retrieve-reg"),
     ("--pool", "retrieve-reg"), ("--data", "pretrain"), ("--concept", "finetune"),
@@ -81,14 +81,18 @@ def _argv(d, command):
 def test_bad_json_input_exits_2_with_one_error_line(tmp_path, cli_inputs, capsys,
                                                     flag, command, broken):
     bad = tmp_path / "bad.json"
-    if broken == "malformed":
-        bad.write_text("[{not json")
+    contents = {"missing": [None], "malformed": ["[{not json"],
+                # valid JSON of the wrong structure; {} is a valid empty config
+                "wrong-shape": ["[1]"] + (["{}"] if flag != "--config" else [])}[broken]
     argv = _argv(cli_inputs, command)
     argv[argv.index(flag) + 1] = str(bad)
-    assert run_command(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(bad) in err
+    for text in contents:
+        if text is not None:
+            bad.write_text(text)
+        assert run_command(argv) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(bad) in err
 
 
 def test_retrieve_reg_writes_artifact_and_manifest(tmp_path, fixture_dir):
@@ -107,6 +111,27 @@ def test_retrieve_reg_writes_artifact_and_manifest(tmp_path, fixture_dir):
         manifest = json.load(fh)
     assert manifest["command"] == "retrieve-reg"
     assert len(manifest["config_hash"]) == 16
+    # the --cap override is part of the config hash
+    default = str(tmp_path / "reg_default.json")
+    assert run_command(["retrieve-reg",
+                        "--pool", str(fixture_dir / "reg_pool.json"),
+                        "--vocab", str(fixture_dir / "vocab.json"),
+                        "--target-caption", "photo of a blob", "--out", default]) == 0
+    with open(default + ".manifest.json") as fh:
+        assert json.load(fh)["config_hash"] != manifest["config_hash"]
+
+
+def test_finetune_out_delta_outside_kv_only_fails_before_training(tmp_path, cli_inputs):
+    cfg = tmp_path / "all_unet.json"
+    cfg.write_text(json.dumps({"train": {"steps": 1, "batch": 2, "use_reg": "none",
+                                         "trainable_scope": "all_unet"}}))
+    out = tmp_path / "tuned.ckpt"
+    rc = run_command(["finetune", "--config", str(cfg), "--model", str(cli_inputs / "base.ckpt"),
+                      "--concept", str(cli_inputs / "concept_blob.json"), "--modifier", "<new1>",
+                      "--out", str(out), "--out-delta", str(tmp_path / "delta.ckpt")])
+    assert rc == 2
+    assert not out.exists()
+    assert not (tmp_path / "tuned.ckpt.manifest.json").exists()
 
 
 def test_write_pgm(tmp_path):

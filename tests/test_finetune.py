@@ -115,8 +115,8 @@ def test_finetune_is_deterministic(tiny_model):
                                    cfg, sched=sched)
         runs.append(report)
     np.testing.assert_array_equal(runs[0].loss_curve, runs[1].loss_curve)
-    for k in runs[0].final_params.sorted_keys():
-        np.testing.assert_array_equal(runs[0].final_params[k], runs[1].final_params[k])
+    for k in runs[0].model.params.sorted_keys():
+        np.testing.assert_array_equal(runs[0].model.params[k], runs[1].model.params[k])
 
 
 def test_sequential_training_accumulates_modifiers(tiny_model):
