@@ -31,8 +31,10 @@ _VALIDATORS = {
     ("schedule", "T"): lambda v: v >= 1 or "schedule.T must be >= 1",
     ("train", "steps"): lambda v: v >= 0 or "train.steps must be >= 0",
     ("train", "learning_rate"): lambda v: v > 0 or "train.learning_rate must be > 0",
-    ("train", "batch"): lambda v: v >= 1 or "train.batch must be >= 1",
+    # balanced_batches needs a batch of 2 or more
+    ("train", "batch"): lambda v: v >= 2 or "train.batch must be >= 2",
     ("pretrain", "steps"): lambda v: v >= 0 or "pretrain.steps must be >= 0",
+    ("pretrain", "batch"): lambda v: v >= 2 or "pretrain.batch must be >= 2",
     ("retrieval", "threshold"): lambda v: 0 <= v <= 1 or "retrieval.threshold must be in [0,1]",
 }
 

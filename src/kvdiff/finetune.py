@@ -37,8 +37,8 @@ class FineTuneConfig:
             raise InvalidInput("steps must be >= 0")
         if self.learning_rate <= 0:
             raise InvalidInput("learning_rate must be positive")
-        if self.batch < 1:
-            raise InvalidInput("batch must be >= 1")
+        if self.batch < 2:
+            raise InvalidInput("batch must be >= 2")
         if self.trainable_scope not in (SCOPE_KV_ONLY, SCOPE_ALL):
             raise InvalidInput(f"unknown scope {self.trainable_scope!r}")
         if self.use_reg not in ("retrieved", "generated", "none"):
@@ -77,52 +77,51 @@ def sgd_step(params, grads, lr):
 
 
 def batch_gradients(model, examples, sched, rng, modifier_indices=(),
-                    cond_dropout=0.0):
+                    cond_dropout=0.0, keys=None):
     """Average loss and gradients over a batch of (image, caption, mask) draws.
 
-    examples: iterable of (AugmentedSample-or-ConceptExample). Returns
-    (loss, grads, emb_grads) where emb_grads maps modifier token index to the
-    gradient of its embedding row. Summation order is fixed for determinism.
+    examples: iterable of (AugmentedSample-or-ConceptExample). Each example
+    draws, in order, its caption dropout, its timestep and its noise; then one
+    forward and one backward pass run over the whole batch. Returns
+    (loss, grads, emb_grads): grads maps each registry key in `keys` (every
+    key when None) to its gradient, and emb_grads maps modifier token index to
+    the gradient of its embedding row.
     """
     vocab = model.vocab
-    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-    emb_grads = {i: np.zeros(vocab.dim) for i in modifier_indices}
-    total_loss = 0.0
-    n = 0
+    x_t, ts, cs, draws = [], [], [], []
     for ex in examples:
-        image = ex.image
         caption = ex.caption
-        mask = getattr(ex, "valid_mask", None)
         if cond_dropout > 0.0 and rng.random() < cond_dropout:
             caption = ""    # the unconditional branch used by guidance
         t = int(rng.integers(1, sched.T + 1))
-        eps = rng.standard_normal(image.shape)
-        x_t = diffusion.forward_noise(image, t, eps, sched)
+        eps = rng.standard_normal(ex.image.shape)
         seq = textmod.tokenize(vocab, caption)
-        c = textmod.encode_caption(vocab, seq)
-        eps_pred, cache, _ = denoiser.forward(model, x_t, t, c)
-        if mask is None:
-            loss = diffusion.simple_loss(eps, eps_pred)
-            d_pred = -2.0 * (eps - eps_pred) / eps.size
-        else:
-            loss = diffusion.masked_loss(eps, eps_pred, mask)
-            d_pred = -2.0 * mask * (eps - eps_pred) / mask.sum()
-        g, d_c = denoiser.backward(model, cache, d_pred)
-        for k in grads:
-            grads[k] += g[k]
-        # Only registered trainable rows receive embedding gradient; the
-        # start token and the rest of the table stay frozen.
-        for pos, tok in enumerate(seq):
-            if tok in emb_grads:
-                emb_grads[tok] += d_c[pos]
-        total_loss += loss
-        n += 1
+        x_t.append(diffusion.forward_noise(ex.image, t, eps, sched))
+        ts.append(t)
+        cs.append(textmod.encode_caption(vocab, seq))
+        draws.append((eps, getattr(ex, "valid_mask", None), seq))
+    n = len(draws)
     if n == 0:
         raise InvalidInput("empty batch")
-    for k in grads:
-        grads[k] /= n
-    for k in emb_grads:
-        emb_grads[k] /= n
+    eps_pred, cache, _ = denoiser.forward(model, np.stack(x_t), ts, cs)
+    total_loss = 0.0
+    d_pred = np.empty_like(eps_pred)
+    for i, (eps, mask, _) in enumerate(draws):
+        if mask is None:
+            total_loss += diffusion.simple_loss(eps, eps_pred[i])
+            d_pred[i] = -2.0 * (eps - eps_pred[i]) / (eps.size * n)
+        else:
+            total_loss += diffusion.masked_loss(eps, eps_pred[i], mask)
+            d_pred[i] = -2.0 * mask * (eps - eps_pred[i]) / (mask.sum() * n)
+    grads, d_c = denoiser.backward(model, cache, d_pred, keys)
+    # Only registered trainable rows receive embedding gradient; the start
+    # token and the rest of the table stay frozen. Summation order is fixed
+    # for determinism.
+    emb_grads = {i: np.zeros(vocab.dim) for i in modifier_indices}
+    for (_, _, seq), dc in zip(draws, d_c):
+        for pos, tok in enumerate(seq):
+            if tok in emb_grads:
+                emb_grads[tok] += dc[pos]
     return total_loss / n, grads, emb_grads
 
 
@@ -140,9 +139,8 @@ def _train(model, example_stream, cfg, sched, trainable, modifier_indices, rng):
         loss, grads, emb_grads = batch_gradients(
             model, batch, sched, rng,
             modifier_indices=modifier_indices if cfg.train_modifier else (),
-            cond_dropout=cfg.cond_dropout)
-        masked = {k: grads[k] for k in trainable}
-        updated = sgd_step({k: model.params[k] for k in trainable}, masked,
+            cond_dropout=cfg.cond_dropout, keys=trainable)
+        updated = sgd_step({k: model.params[k] for k in trainable}, grads,
                            cfg.learning_rate)
         for k, v in updated.items():
             model.params[k] = v

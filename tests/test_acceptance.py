@@ -121,9 +121,9 @@ def test_gradient_fidelity(capsys, pretrained, schedule):
         return diffusion.simple_loss(eps, pred)
 
     c = textmod.encode_caption(model.vocab, seq)
-    pred, cache, _ = denoiser.forward(model, x_t, t, c)
-    d_pred = -2.0 * (eps - pred) / eps.size
-    grads, d_c = denoiser.backward(model, cache, d_pred)
+    pred, cache, _ = denoiser.forward(model, x_t[None], [t], [c])
+    d_pred = -2.0 * (eps - pred[0]) / eps.size
+    grads, (d_c,) = denoiser.backward(model, cache, d_pred[None])
 
     step = 1e-5
     worst = 0.0

@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from kvdiff import analysis, checkpoint, denoiser, diffusion, fixtures
+from kvdiff import analysis, checkpoint, denoiser, diffusion, finetune, fixtures
 from kvdiff.cli import run_command, write_pgm
+from kvdiff.errors import InvalidInput
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,35 @@ def test_finetune_out_delta_outside_kv_only_fails_before_training(tmp_path, cli_
     assert rc == 2
     assert not out.exists()
     assert not (tmp_path / "tuned.ckpt.manifest.json").exists()
+
+
+def test_batch_of_one_fails_at_config_load(tmp_path, cli_inputs, monkeypatch, capsys):
+    """balanced_batches needs a batch of 2 or more, so a batch of 1 is
+    refused before any regularization image is sampled or any step is trained."""
+    calls = []
+    sample_cfg, pretrain = diffusion.sample_cfg, finetune.pretrain
+    monkeypatch.setattr(diffusion, "sample_cfg",
+                        lambda *a, **k: calls.append("sample_cfg") or sample_cfg(*a, **k))
+    monkeypatch.setattr(finetune, "pretrain",
+                        lambda *a, **k: calls.append("pretrain") or pretrain(*a, **k))
+    cfg = tmp_path / "batch1.json"
+    cfg.write_text(json.dumps({"train": {"batch": 1, "use_reg": "generated"},
+                               "retrieval": {"cap": 3}, "sampler": {"steps": 2}}))
+    rc = run_command(["finetune", "--config", str(cfg), "--model", str(cli_inputs / "base.ckpt"),
+                      "--concept", str(cli_inputs / "concept_blob.json"),
+                      "--out", str(tmp_path / "tuned.ckpt")])
+    assert rc == 2
+    assert "batch must be >= 2" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"pretrain": {"batch": 1, "steps": 1}}))
+    rc = run_command(["pretrain", "--config", str(cfg), "--vocab", str(cli_inputs / "vocab.json"),
+                      "--data", str(cli_inputs / "pretrain.json"),
+                      "--out", str(tmp_path / "base.ckpt")])
+    assert rc == 2
+    assert "batch must be >= 2" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "tuned.ckpt").exists() and not (tmp_path / "base.ckpt").exists()
+    with pytest.raises(InvalidInput, match="batch must be >= 2"):
+        finetune.FineTuneConfig(batch=1)
 
 
 def test_write_pgm(tmp_path):

@@ -39,10 +39,23 @@ def test_cross_attention_matches_scalar_oracle():
     wk = rng.standard_normal((2, 4))
     wv = rng.standard_normal((2, 4))
     # the kernel forward() runs for both cross- and self-attention
-    cache = denoiser._attn_forward(f, c, wq, wk, wv)
+    cache = denoiser._attn_forward(f[None], c[None], wq, wk, wv)
     np.testing.assert_allclose(cache["h"], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
-    np.testing.assert_allclose(cache["a"].sum(axis=1), np.ones(5), atol=1e-12)
+    np.testing.assert_allclose(cache["a"].sum(axis=2), np.ones((1, 5)), atol=1e-12)
     assert np.all(cache["a"] >= 0)
+
+    # a batch of two whose second key set is padded: the padded keys get
+    # exactly zero weight and each row matches the oracle on its own keys
+    c2 = rng.standard_normal((2, 4))
+    f2 = rng.standard_normal((5, 6))
+    padded = np.stack([c, np.vstack([c2, 100.0 * np.ones((1, 4))])])
+    bias = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+    cache = denoiser._attn_forward(np.stack([f, f2]), padded, wq, wk, wv, bias)
+    # h holds the rows of both images, one after the other
+    np.testing.assert_allclose(cache["h"][:5], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
+    np.testing.assert_allclose(cache["h"][5:], _scalar_attention(f2, c2, wq, wk, wv), atol=1e-12)
+    assert np.all(cache["a"][1, :, 2] == 0.0)
+    np.testing.assert_allclose(cache["a"].sum(axis=2), np.ones((2, 5)), atol=1e-12)
 
 
 def test_forward_is_deterministic_and_validates_shapes(tiny_model):
@@ -50,10 +63,16 @@ def test_forward_is_deterministic_and_validates_shapes(tiny_model):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((cfg.height, cfg.width))
     c = rng.standard_normal((3, cfg.d_text))
-    a = tiny_model.predict(x, 2, c)
-    b = tiny_model.predict(x, 2, c)
+    a, _, _ = denoiser.forward(tiny_model, x[None], [2], [c])
+    b, _, _ = denoiser.forward(tiny_model, x[None], [2], [c])
     np.testing.assert_array_equal(a, b)
-    assert a.shape == (cfg.height, cfg.width)
+    assert a.shape == (1, cfg.height, cfg.width)
+    np.testing.assert_array_equal(tiny_model.predict(x, 2, c), a[0])
+    for bad in [(x[None, :2], [2], [c]), (x[None], [2], [c[:, :2]]),
+                (x[None], [2], [c[:0]]), (x, [2], [c]), (x[None], [2, 3], [c]),
+                (x[None], [2], [c, c]), (x[:0], [], [])]:
+        with pytest.raises(InvalidInput):
+            denoiser.forward(tiny_model, *bad)
     with pytest.raises(InvalidInput):
         tiny_model.predict(x[:2], 2, c)
     with pytest.raises(InvalidInput):
@@ -73,8 +92,8 @@ def test_backward_matches_finite_differences(tiny_model):
         eps = tiny_model.predict(x, 3, c)
         return 0.5 * float(np.sum((eps - target) ** 2))
 
-    eps0, cache, _ = denoiser.forward(tiny_model, x, 3, c)
-    grads, d_c = denoiser.backward(tiny_model, cache, eps0 - target)
+    eps0, cache, _ = denoiser.forward(tiny_model, x[None], [3], [c])
+    grads, (d_c,) = denoiser.backward(tiny_model, cache, eps0 - target[None])
 
     h = 1e-6
     keys = [ParamKey(0, ROLE_OTHER, "w_pix"), ParamKey(0, ROLE_OTHER, "w_time"),
@@ -101,6 +120,45 @@ def test_backward_matches_finite_differences(tiny_model):
     lm = loss()
     c[1, 2] = orig
     assert d_c[1, 2] == pytest.approx((lp - lm) / (2 * h), rel=1e-4, abs=1e-8)
+
+
+def test_batched_forward_and_backward_match_batch_of_one(tiny_model):
+    """One batch of three captions of different lengths (the start token
+    alone, 3 and 6 tokens) against three batches of one."""
+    cfg = tiny_model.config
+    vocab = tiny_model.vocab
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, cfg.height, cfg.width))
+    ts = [3, 11, 29]
+    cs = [textmod.encode_caption(vocab, textmod.tokenize(vocab, caption))
+          for caption in ("", "a blob", "photo of a blob ring")]
+    assert [len(c) for c in cs] == [1, 3, 6]
+    d_eps = rng.standard_normal(x.shape)
+
+    eps, cache, _ = denoiser.forward(tiny_model, x, ts, cs)
+    grads, d_c = denoiser.backward(tiny_model, cache, d_eps)
+    assert set(grads) == set(tiny_model.params)
+    assert [g.shape for g in d_c] == [c.shape for c in cs]
+    total = {k: np.zeros_like(v) for k, v in tiny_model.params.items()}
+    for i in range(3):
+        eps1, cache1, _ = denoiser.forward(tiny_model, x[i:i + 1], ts[i:i + 1], cs[i:i + 1])
+        np.testing.assert_allclose(eps[i], eps1[0], rtol=0, atol=1e-12)
+        grads1, (d_c1,) = denoiser.backward(tiny_model, cache1, d_eps[i:i + 1])
+        np.testing.assert_allclose(d_c[i], d_c1, rtol=0, atol=1e-12)
+        for k in total:
+            total[k] += grads1[k]
+    for k in total:
+        np.testing.assert_allclose(grads[k], total[k], rtol=0, atol=1e-12, err_msg=str(k))
+
+    kv = [k for k in tiny_model.params
+          if k.role in (denoiser.ROLE_CROSS_KEY, denoiser.ROLE_CROSS_VALUE)]
+    _, cache, _ = denoiser.forward(tiny_model, x, ts, cs)
+    only, d_c_only = denoiser.backward(tiny_model, cache, d_eps, keys=kv)
+    assert set(only) == set(kv)
+    for k in kv:
+        np.testing.assert_array_equal(only[k], grads[k])
+    for a, b in zip(d_c_only, d_c):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_registry_clone_is_independent(tiny_model):
