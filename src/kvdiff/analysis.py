@@ -40,8 +40,6 @@ class DeltaEntry:
 def reconstruct_entry(entry):
     if entry.is_dense:
         return entry.dense
-    if entry.sigma is None or entry.sigma.size == 0:
-        return np.zeros(entry.shape)
     return (entry.u * entry.sigma) @ entry.vt
 
 
@@ -116,7 +114,7 @@ def compress_delta(delta, energy):
         raise InvalidInput("energy must lie in (0, 1]")
     out = {}
     for key, entry in delta.entries.items():
-        dense = reconstruct_entry(entry) if not entry.is_dense else entry.dense
+        dense = reconstruct_entry(entry)
         if energy >= 1.0:
             out[key] = DeltaEntry(dense=dense.copy(), shape=dense.shape, residual=0.0)
             continue

@@ -7,13 +7,15 @@ save -> load -> save is byte-identical.
 """
 
 import json
+import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import textmod
 from .analysis import DeltaCheckpoint, DeltaEntry
+from .config import _is_int, _is_list, _is_number, _is_strings
 from .denoiser import DenoiserNet, ModelConfig, ParamKey, ParamRegistry
 from .diffusion import NoiseSchedule
 from .errors import CorruptCheckpoint, InvalidInput
@@ -24,6 +26,64 @@ VERSION = 1
 KIND_BASE = "base"
 KIND_DELTA = "delta"
 KIND_MERGED = "merged"
+
+
+def _is_str(v):
+    return isinstance(v, str)
+
+
+def _is_tensor(e):
+    return (isinstance(e, dict) and _is_str(e.get("name")) and e.get("dtype") == "f64"
+            and _is_list(e.get("shape"), _is_int) and _is_int(e.get("offset"))
+            and _is_int(e.get("length")))
+
+
+def _is_model_config(v):
+    return (isinstance(v, dict) and set(v) == {f.name for f in fields(ModelConfig)}
+            and all(_is_int(x, 1) for x in v.values()))
+
+
+def _is_schedule(v):
+    return (isinstance(v, dict) and _is_int(v.get("T"), 1)
+            and _is_number(v.get("beta_start")) and _is_number(v.get("beta_end")))
+
+
+def _is_vocab(v):
+    return (isinstance(v, dict) and _is_strings(v.get("tokens"))
+            and isinstance(v.get("counts"), dict) and _is_int(v.get("start_token"))
+            and _is_int(v.get("seed")) and _is_number(v.get("scale", 1.0)))
+
+
+def _is_modifier(m):
+    # older checkpoints also carry a `trainable` flag, which is ignored
+    return (isinstance(m, dict) and _is_str(m.get("name")) and _is_int(m.get("token_index"))
+            and _is_str(m.get("source_token")))
+
+
+def _is_delta_entry(e):
+    return (isinstance(e, dict) and _is_int(e.get("layer")) and _is_str(e.get("role"))
+            and e.get("form") in ("dense", "lowrank") and _is_list(e.get("shape"), _is_int)
+            and _is_number(e.get("residual")))
+
+
+# key -> check, for the manifest and for the meta keys each loader reads
+_MANIFEST = {"format": lambda v: v == "CDCK", "version": lambda v: v == VERSION,
+             "tensors": lambda v: _is_list(v, _is_tensor),
+             "meta": lambda v: isinstance(v, dict)}
+_MODEL_META = {"config": _is_model_config, "schedule": _is_schedule, "vocab": _is_vocab,
+               "modifier_tokens": lambda v: _is_list(v, _is_modifier)}
+_DELTA_META = {"config": lambda v: v is None or _is_model_config(v),
+               "energy_kept": _is_number, "modifier_names": _is_strings,
+               "entries": lambda v: _is_list(v, _is_delta_entry)}
+
+
+def _check_table(table, checks, what):
+    """CorruptCheckpoint naming the keys of `table` that fail their check."""
+    if not isinstance(table, dict):
+        raise CorruptCheckpoint(f"{what} is not a table")
+    bad = [key for key, check in checks.items() if not check(table.get(key))]
+    if bad:
+        raise CorruptCheckpoint(f"malformed {what}: {', '.join(bad)}")
 
 
 def save_container(path, tensors, meta):
@@ -57,19 +117,16 @@ def load_container(path):
         manifest = json.loads(raw[8:8 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"unreadable manifest: {exc}") from None
-    if manifest.get("format") != "CDCK" or manifest.get("version") != VERSION:
-        raise CorruptCheckpoint("unknown format/version")
+    _check_table(manifest, _MANIFEST, "manifest")
     payload = raw[8 + mlen:]
     tensors = {}
     spans = []
     for entry in manifest["tensors"]:
-        if entry.get("dtype") != "f64":
-            raise CorruptCheckpoint(f"unsupported dtype {entry.get('dtype')!r}")
         shape = tuple(entry["shape"])
         off, length = entry["offset"], entry["length"]
-        if length != int(np.prod(shape, dtype=np.int64)) * 8:
+        if length != math.prod(shape) * 8:
             raise CorruptCheckpoint(f"length mismatch for {entry['name']}")
-        if off < 0 or off + length > len(payload):
+        if off + length > len(payload):
             raise CorruptCheckpoint(f"payload overflow for {entry['name']}")
         spans.append((off, off + length, entry["name"]))
         tensors[entry["name"]] = np.frombuffer(
@@ -107,7 +164,7 @@ def save_model(path, model, sched, kind=KIND_BASE):
                       "scale": vocab.scale},
             "modifier_tokens": [
                 {"name": m.name, "token_index": m.token_index,
-                 "source_token": m.source_token, "trainable": m.trainable}
+                 "source_token": m.source_token}
                 for _, m in sorted(vocab.modifiers.items())]}
     save_container(path, tensors, meta)
 
@@ -117,6 +174,7 @@ def load_model(path):
     kind = meta.get("kind")
     if kind not in (KIND_BASE, KIND_MERGED):
         raise InvalidInput(f"expected a model checkpoint, found kind {kind!r}")
+    _check_table(meta, _MODEL_META, "model meta")
     cfg = ModelConfig(**meta["config"])
     params = ParamRegistry()
     for name, arr in tensors.items():
@@ -132,10 +190,9 @@ def load_model(path):
         corpus_counts=dict(vmeta["counts"]),
         seed=vmeta["seed"],
         scale=vmeta.get("scale", 1.0))
-    for m in meta.get("modifier_tokens", []):
+    for m in meta["modifier_tokens"]:
         vocab.modifiers[m["name"]] = textmod.ModifierToken(
-            name=m["name"], token_index=m["token_index"],
-            source_token=m["source_token"], trainable=m["trainable"])
+            name=m["name"], token_index=m["token_index"], source_token=m["source_token"])
     model = DenoiserNet(config=cfg, params=params, vocab=vocab)
     return model, _sched_from_meta(meta["schedule"])
 
@@ -169,6 +226,7 @@ def load_delta(path):
     tensors, meta = load_container(path)
     if meta.get("kind") != KIND_DELTA:
         raise InvalidInput(f"expected a delta checkpoint, found kind {meta.get('kind')!r}")
+    _check_table(meta, _DELTA_META, "delta meta")
     entries = {}
     for em in meta["entries"]:
         layer, role = em["layer"], em["role"]

@@ -132,7 +132,7 @@ def cmd_sample(args, cfg):
                    "scale": cfg["sampler"]["scale"], "seed": args.seed,
                    "pixels": [float(v) for v in img.reshape(-1)],
                    "height": img.shape[0], "width": img.shape[1]}, fh)
-    return [args.out]
+    return [args.out, f"{args.out}.json"]
 
 
 def cmd_compress(args, cfg):

@@ -21,8 +21,6 @@ class ConceptExample:
 @dataclass
 class RegularizationSet:
     examples: list
-    source: str            # "retrieved" | "generated"
-    target_caption: str = ""
 
 
 @dataclass
@@ -67,7 +65,7 @@ def retrieve_regularization(pool, target_caption, threshold, cap, text_featurize
     if not kept:
         warnings.warn("no pool caption cleared the similarity threshold",
                       EmptyRegularizationSetWarning)
-    return RegularizationSet(examples=kept, source="retrieved", target_caption=target_caption)
+    return RegularizationSet(examples=kept)
 
 
 def generate_regularization(model, category, count, seed, sched, steps, scale):
@@ -76,8 +74,7 @@ def generate_regularization(model, category, count, seed, sched, steps, scale):
     prompt = textmod.template_prompt(category)
     images = diffusion.sample_prompt(model, prompt, count, seed, sched, steps, scale)
     return RegularizationSet(examples=[ConceptExample(image=img, caption=prompt)
-                                       for img in images],
-                             source="generated", target_caption=prompt)
+                                       for img in images])
 
 
 def _nearest_resize(image, new_h, new_w):
@@ -87,12 +84,12 @@ def _nearest_resize(image, new_h, new_w):
     return image[np.ix_(ri, ci)]
 
 
-def augment(sample, rng, ratio=None, canvas_value=0.0):
+def augment(sample, rng, ratio=None):
     """Random resize augmentation.
 
     1/3 of the time the image is up-scaled by 1.2-1.4x and center-cropped
     (caption suffixed "zoomed in"/"close up"); otherwise it is down-scaled by
-    0.4-1.0x and pasted centered on a neutral canvas, with "far away"/"very
+    0.4-1.0x and pasted centered on a canvas of zeros, with "far away"/"very
     small" appended when the ratio drops below 0.6. The valid mask marks
     exactly the pasted pixels. Pass `ratio` to force a specific scale.
     """
@@ -114,7 +111,7 @@ def augment(sample, rng, ratio=None, canvas_value=0.0):
     elif ratio < 1.0:
         new_h, new_w = max(int(round(ratio * h)), 1), max(int(round(ratio * w)), 1)
         small = _nearest_resize(sample.image, new_h, new_w)
-        image = np.full((h, w), canvas_value)
+        image = np.zeros((h, w))
         mask = np.zeros((h, w))
         top, left = (h - new_h) // 2, (w - new_w) // 2
         image[top:top + new_h, left:left + new_w] = small

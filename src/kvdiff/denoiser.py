@@ -139,7 +139,7 @@ class DenoiserNet:
     def predict(self, x_t, t, c):
         """Predicted noise for one image x_t at step t under caption features
         c: forward() on a batch of one."""
-        eps, _, _ = forward(self, np.asarray(x_t, dtype=np.float64)[None], (t,), (c,))
+        eps, _ = forward(self, np.asarray(x_t, dtype=np.float64)[None], (t,), (c,))
         return eps[0]
 
     def clone(self):
@@ -211,12 +211,12 @@ def _block_keys(l):
     return cross, self_attn, (ParamKey(l, ROLE_OTHER, "mlp_w1"), ParamKey(l, ROLE_OTHER, "mlp_w2"))
 
 
-def forward(model, x_t, t, c, collect_traces=False):
+def forward(model, x_t, t, c):
     """Forward pass over a batch: x_t (B, H, W), t holds B timesteps and c is
     a list of B caption-feature arrays (s_b, d_text), s_b >= 1. Captions are
     padded to the longest one; padded keys get zero attention weight. The
     features of all B images run as one (B*h*w, d_model) array of rows.
-    Returns (eps (B, H, W), cache, traces)."""
+    Returns (eps (B, H, W), cache)."""
     cfg = model.config
     p = model.params
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -248,7 +248,6 @@ def forward(model, x_t, t, c, collect_traces=False):
          + model.pos + te[:, None, :]).reshape(bsz * n, d)
 
     cache = {"x": x, "s_t": s_t, "c": cpad, "lengths": lengths, "blocks": []}
-    traces = []
     for l in range(1, cfg.blocks + 1):
         bc = {}
         # cross-attention first, so its output is decoded by the rest of the
@@ -258,10 +257,6 @@ def forward(model, x_t, t, c, collect_traces=False):
         cq, ck, cv, co = map(p.__getitem__, cross)
         bc["ca"] = _attn_forward(f.reshape(bsz, n, d), cpad, cq, ck, cv, key_bias)
         f1 = f + bc["ca"]["h"] @ co.T
-        if collect_traces:
-            traces += [AttentionTrace(weights=bc["ca"]["a"][i, :, :m].copy(), layer=l,
-                                      timestep=int(t[i]), grid=(cfg.height, cfg.width))
-                       for i, m in enumerate(lengths)]
         # self-attention
         sq, sk, sv, so = map(p.__getitem__, self_attn)
         f1_3d = f1.reshape(bsz, n, d)
@@ -276,7 +271,7 @@ def forward(model, x_t, t, c, collect_traces=False):
     cache["f_final"] = f
     # readout scaled by 1/d_model so the trained head keeps a healthy norm
     eps = (f @ p[ParamKey(0, ROLE_OTHER, "w_out")][0]) / d
-    return eps.reshape(x_t.shape), cache, traces
+    return eps.reshape(x_t.shape), cache
 
 
 def backward(model, cache, d_eps, keys=None):
@@ -340,10 +335,11 @@ def backward(model, cache, d_eps, keys=None):
 
 def predict_eps_with_traces(model, x_t, t, c):
     """predict() that also returns each block's cross-attention weights,
-    each an (h*w, s) AttentionTrace."""
-    eps, _, traces = forward(model, np.asarray(x_t, dtype=np.float64)[None], (t,), (c,),
-                             collect_traces=True)
-    return eps[0], traces
+    each an (h*w, s) AttentionTrace read from the forward cache."""
+    eps, cache = forward(model, np.asarray(x_t, dtype=np.float64)[None], (t,), (c,))
+    return eps[0], [AttentionTrace(weights=bc["ca"]["a"][0], layer=l, timestep=int(t),
+                                   grid=model.image_shape)
+                    for l, bc in enumerate(cache["blocks"], start=1)]
 
 
 def mean_attention_map(traces, token_index):

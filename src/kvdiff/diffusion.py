@@ -57,16 +57,6 @@ def forward_noise(x0, t, eps, sched):
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def simple_loss(eps, eps_pred):
-    """Mean squared error between true and predicted noise."""
-    eps = np.asarray(eps, dtype=np.float64)
-    eps_pred = np.asarray(eps_pred, dtype=np.float64)
-    if eps.shape != eps_pred.shape:
-        raise InvalidInput(f"shape mismatch: {eps.shape} vs {eps_pred.shape}")
-    diff = eps - eps_pred
-    return float(np.mean(diff * diff))
-
-
 def masked_loss(eps, eps_pred, mask):
     """MSE restricted to pixels where mask == 1; used for valid-region training."""
     eps = np.asarray(eps, dtype=np.float64)

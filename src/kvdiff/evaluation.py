@@ -52,33 +52,24 @@ class ReferenceFeaturizer:
             raise InvalidInput(f"expected image shape {self.image_shape}, got {image.shape}")
         return self._normalize(np.tanh(self._img_proj @ image.reshape(-1)))
 
-    def text_features_from_embeddings(self, rows):
-        pooled = np.asarray(rows, dtype=np.float64).mean(axis=0)
-        return self._normalize(np.tanh(self._txt_proj @ pooled))
-
     def text_features(self, vocab, caption):
-        stripped = textmod.strip_modifiers(vocab, caption)
-        seq = textmod.tokenize(vocab, stripped)
-        return self.text_features_from_embeddings(textmod.encode_caption(vocab, seq))
+        """Mean-pooled token embeddings of the modifier-stripped caption."""
+        seq = textmod.tokenize(vocab, textmod.strip_modifiers(vocab, caption))
+        pooled = textmod.encode_caption(vocab, seq).mean(axis=0)
+        return self._normalize(np.tanh(self._txt_proj @ pooled))
 
     def caption_featurizer(self, vocab):
         """str -> unit feature vector closure, for retrieval."""
         return lambda caption: self.text_features(vocab, caption)
 
 
-def image_alignment(generated, targets, feat, mode="mean"):
-    """Mean over generated images of the mean (or max) cosine similarity to
-    the target image features."""
+def image_alignment(generated, targets, feat):
+    """Mean over generated images of the mean cosine similarity to the
+    target image features."""
     if not len(generated) or not len(targets):
         raise InvalidInput("generated and target sets must be non-empty")
-    if mode not in ("mean", "max"):
-        raise InvalidInput(f"unknown mode {mode!r}")
     tfeats = np.stack([feat.image_features(t) for t in targets])
-    sims = []
-    for img in generated:
-        cos = tfeats @ feat.image_features(img)
-        sims.append(cos.max() if mode == "max" else cos.mean())
-    return float(np.mean(sims))
+    return float(np.mean([(tfeats @ feat.image_features(img)).mean() for img in generated]))
 
 
 def text_alignment(generated, prompt, feat, vocab):

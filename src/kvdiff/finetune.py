@@ -48,7 +48,6 @@ class FineTuneConfig:
 @dataclass
 class TrainReport:
     loss_curve: np.ndarray
-    modifier_embeddings: list
     model: denoiser.DenoiserNet = field(repr=False)
 
 
@@ -99,20 +98,17 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
         x_t.append(diffusion.forward_noise(ex.image, t, eps, sched))
         ts.append(t)
         cs.append(textmod.encode_caption(vocab, seq))
-        draws.append((eps, getattr(ex, "valid_mask", None), seq))
+        mask = getattr(ex, "valid_mask", None)
+        draws.append((eps, np.ones(eps.shape) if mask is None else mask, seq))
     n = len(draws)
     if n == 0:
         raise InvalidInput("empty batch")
-    eps_pred, cache, _ = denoiser.forward(model, np.stack(x_t), ts, cs)
+    eps_pred, cache = denoiser.forward(model, np.stack(x_t), ts, cs)
     total_loss = 0.0
     d_pred = np.empty_like(eps_pred)
     for i, (eps, mask, _) in enumerate(draws):
-        if mask is None:
-            total_loss += diffusion.simple_loss(eps, eps_pred[i])
-            d_pred[i] = -2.0 * (eps - eps_pred[i]) / (eps.size * n)
-        else:
-            total_loss += diffusion.masked_loss(eps, eps_pred[i], mask)
-            d_pred[i] = -2.0 * mask * (eps - eps_pred[i]) / (mask.sum() * n)
+        total_loss += diffusion.masked_loss(eps, eps_pred[i], mask)
+        d_pred[i] = -2.0 * mask * (eps - eps_pred[i]) / (mask.sum() * n)
     grads, d_c = denoiser.backward(model, cache, d_pred, keys)
     # Only registered trainable rows receive embedding gradient; the start
     # token and the rest of the table stay frozen. Summation order is fixed
@@ -179,27 +175,15 @@ def finetune(model, concepts, cfg, reg=None, sched=None):
     stream = datamod.balanced_batches(targets, reg_set, cfg.batch, rng)
     sched = sched or diffusion.NoiseSchedule.linear()
     curve = _train(tuned, stream, cfg, sched, trainable, modifier_indices, rng)
-    report = TrainReport(
-        loss_curve=curve,
-        modifier_embeddings=[(m.name, tuned.vocab.embeddings[m.token_index].copy())
-                             for m in mods],
-        model=tuned)
-    return report
+    return TrainReport(loss_curve=curve, model=tuned)
 
 
 def finetune_sequential(model, concept_a, concept_b, cfg, reg=None, sched=None):
     """Train on concept_a, then continue from the result on concept_b."""
     rep_a = finetune(model, [concept_a], cfg, reg, sched)
     rep_b = finetune(rep_a.model, [concept_b], cfg, reg, sched)
-    mods = {name: emb for name, emb in rep_a.modifier_embeddings}
-    mods.update(dict(rep_b.modifier_embeddings))
-    # concept_a's embedding may have drifted if still trainable in stage two
-    final_mods = [(name, rep_b.model.vocab.embeddings[
-        rep_b.model.vocab.index(name)].copy()) for name in mods]
-    return TrainReport(
-        loss_curve=np.concatenate([rep_a.loss_curve, rep_b.loss_curve]),
-        modifier_embeddings=final_mods,
-        model=rep_b.model)
+    return TrainReport(loss_curve=np.concatenate([rep_a.loss_curve, rep_b.loss_curve]),
+                       model=rep_b.model)
 
 
 def pretrain(vocab, dataset, model_cfg=None, sched=None, steps=_PRETRAIN["steps"],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textmod
+from . import analysis, textmod
 from .denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
 from .errors import DegenerateRegularization, InvalidInput, SingularTargetSystem
 from .linalg import as_matrix, frobenius_norm
@@ -181,47 +181,37 @@ class MergeOutcome:
 def merge_model(base, deltas, captions_per_concept, reg_captions):
     """Merge N fine-tuned K/V deltas into one model via the constrained solve.
 
-    deltas: list of DeltaCheckpoint (dense or low-rank). captions_per_concept:
-    one caption list per delta, whose content words (modifier + category)
-    define the constraint rows. reg_captions: caption pool providing C_reg.
+    deltas: list of DeltaCheckpoint (dense or low-rank), each applied to the
+    base with `analysis.apply_delta`, which checks its architecture.
+    captions_per_concept: one caption list per delta, whose content words
+    (modifier + category) define the constraint rows. reg_captions: caption
+    pool providing C_reg.
 
     The objective and the constraints separate by output row, and every K/V
     matrix shares C and C_reg, so the rows of all of them are stacked into
     one problem and solved at once.
     """
-    from .analysis import reconstruct_entry  # local import to avoid a cycle
-
     if len(deltas) != len(captions_per_concept):
         raise InvalidInput("need one caption list per delta")
+    for delta in deltas:
+        if any(role not in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE) for _, role in delta.entries):
+            raise InvalidInput("only cross-attention K/V deltas can be merged")
+    concepts = [analysis.apply_delta(base, delta) for delta in deltas]
     merged = base.clone()
     # register every concept's tuned modifier embedding in the merged vocab
-    vocab_list = []
     for delta in deltas:
-        for key in delta.entries:
-            if key[1] not in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE):
-                raise InvalidInput("only cross-attention K/V deltas can be merged")
-        vocab = base.vocab.clone()
         for name, emb in delta.modifier_embeddings:
-            textmod.register_modifier_with_embedding(vocab, name, emb)
             textmod.register_modifier_with_embedding(merged.vocab, name, emb)
-        vocab_list.append(vocab)
 
-    c_rows, owners = _target_rows(vocab_list, captions_per_concept)
+    c_rows, owners = _target_rows([m.vocab for m in concepts], captions_per_concept)
     creg = reg_feature_rows(base.vocab, reg_captions)
 
     keys = [k for k in base.params.sorted_keys()
             if k.role in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE)]
-    concept_ws = []
-    for delta in deltas:
-        rows = []
-        for key in keys:
-            entry = delta.entries.get((key.layer, key.role))
-            rows.append(base.params[key] + (reconstruct_entry(entry) if entry is not None
-                                            else 0.0))
-        concept_ws.append(np.vstack(rows))
     problem = MergeProblem(w0=np.vstack([base.params[k] for k in keys]),
-                           concept_weights=concept_ws, target_features=c_rows,
-                           owners=owners, reg_features=creg)
+                           concept_weights=[np.vstack([m.params[k] for k in keys])
+                                            for m in concepts],
+                           target_features=c_rows, owners=owners, reg_features=creg)
     sol = solve_closed_form(problem)
     ends = np.cumsum([base.params[k].shape[0] for k in keys])
     for key, w_hat in zip(keys, np.split(sol.w_hat, ends[:-1])):

@@ -17,7 +17,6 @@ class ModifierToken:
     name: str
     token_index: int
     source_token: str
-    trainable: bool = True
 
 
 @dataclass
@@ -118,19 +117,14 @@ def register_modifier(vocab, name, source=None):
     else:
         used = {m.source_token for m in vocab.modifiers.values()}
         src = select_rare_token(vocab, exclude=used)
-    idx = len(vocab.tokens)
-    vocab.tokens.append(name)
-    vocab.embeddings = np.vstack([vocab.embeddings, vocab.embeddings[src].copy()])
-    vocab.corpus_counts[name] = 0
-    vocab._index[name] = idx
-    mod = ModifierToken(name=name, token_index=idx, source_token=vocab.tokens[src])
-    vocab.modifiers[name] = mod
-    return mod
+    return register_modifier_with_embedding(vocab, name, vocab.embeddings[src],
+                                            source_token=vocab.tokens[src])
 
 
-def register_modifier_with_embedding(vocab, name, embedding, source_token="", trainable=True):
-    """Re-register a modifier whose embedding is already known (checkpoint load,
-    delta application)."""
+def register_modifier_with_embedding(vocab, name, embedding, source_token=""):
+    """Add a modifier token with the given embedding, or overwrite the
+    embedding of one already registered: the one way a token joins a
+    vocabulary (`register_modifier`, delta application, merging)."""
     embedding = np.asarray(embedding, dtype=np.float64)
     if name in vocab._index:
         idx = vocab._index[name]
@@ -141,8 +135,7 @@ def register_modifier_with_embedding(vocab, name, embedding, source_token="", tr
         vocab.embeddings = np.vstack([vocab.embeddings, embedding[None, :]])
         vocab.corpus_counts[name] = 0
         vocab._index[name] = idx
-    mod = ModifierToken(name=name, token_index=idx, source_token=source_token,
-                        trainable=trainable)
+    mod = ModifierToken(name=name, token_index=idx, source_token=source_token)
     vocab.modifiers[name] = mod
     return mod
 
@@ -154,17 +147,10 @@ def encode_caption(vocab, seq):
     return vocab.embeddings[seq].copy()
 
 
-def template_prompt(category, modifier=None, size_suffix=None):
+def template_prompt(category):
     if not category:
         raise InvalidInput("category must be non-empty")
-    if modifier is not None:
-        name = modifier.name if isinstance(modifier, ModifierToken) else str(modifier)
-        prompt = f"photo of a {name} {category}"
-    else:
-        prompt = f"photo of a {category}"
-    if size_suffix:
-        prompt = f"{prompt} {size_suffix}"
-    return prompt
+    return f"photo of a {category}"
 
 
 def strip_modifiers(vocab, caption):

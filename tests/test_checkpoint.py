@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kvdiff import analysis, checkpoint, diffusion, textmod
+from kvdiff.cli import run_command
 from kvdiff.denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
 from kvdiff.errors import CorruptCheckpoint, InvalidInput
 
@@ -61,10 +62,12 @@ def test_corruption_detection(tmp_path):
 
 
 def _rewrite_manifest(path, out, edit):
+    """Copy the checkpoint at `path` to `out` with its manifest passed through
+    `edit`, which changes it in place or returns a replacement."""
     raw = open(path, "rb").read()
     (mlen,) = struct.unpack("<I", raw[4:8])
     manifest = json.loads(raw[8:8 + mlen])
-    edit(manifest)
+    manifest = edit(manifest) or manifest
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     with open(out, "wb") as fh:
         fh.write(raw[:4])
@@ -178,3 +181,63 @@ def test_kind_mismatch_between_loaders(tmp_path, tiny_model, sched):
     checkpoint.save_delta(dpath, _make_delta(tiny_model))
     with pytest.raises(InvalidInput):
         checkpoint.load_model(dpath)
+
+
+def _negate_shape(m):
+    m["tensors"][0]["shape"] = [-n for n in m["tensors"][0]["shape"]]
+
+
+def _drop(key, section=None):
+    def edit(m):
+        del (m[section] if section else m)[key]
+    return edit
+
+
+# case -> (the checkpoints it applies to, manifest edit)
+MALFORMED = {
+    "no tensors": ("model delta", _drop("tensors")),
+    "list manifest": ("model delta", lambda m: [m]),
+    "string shape": ("model delta", lambda m: m["tensors"][0].__setitem__("shape", "ab")),
+    "negative shape": ("model delta", _negate_shape),
+    "base without config": ("model", _drop("config", "meta")),
+    "unknown config key": ("model delta",
+                           lambda m: m["meta"]["config"].__setitem__("depth", 3)),
+    "delta without entries": ("delta", _drop("entries", "meta")),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_manifest_is_corrupt_checkpoint(tmp_path, tiny_model, sched, capsys, case):
+    kinds, edit = MALFORMED[case]
+    good = {"model": str(tmp_path / "m.ckpt"), "delta": str(tmp_path / "d.ckpt")}
+    checkpoint.save_model(good["model"], tiny_model, sched)
+    checkpoint.save_delta(good["delta"], _make_delta(tiny_model))
+    for kind in kinds.split():
+        bad = str(tmp_path / f"bad_{kind}.ckpt")
+        _rewrite_manifest(good[kind], bad, edit)
+        loader = checkpoint.load_model if kind == "model" else checkpoint.load_delta
+        with pytest.raises(CorruptCheckpoint):
+            loader(bad)
+        argv = (["sample", "--model", bad, "--prompt", "photo of a blob"] if kind == "model"
+                else ["compress", "--delta", bad, "--energy", "0.6"])
+        assert run_command(argv + ["--out", str(tmp_path / "out")]) == 2, kind
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_trainable_flag_of_older_checkpoints_is_ignored(tmp_path, tiny_model, sched):
+    textmod.register_modifier(tiny_model.vocab, "<new1>")
+    path, old = str(tmp_path / "m.ckpt"), str(tmp_path / "old.ckpt")
+    checkpoint.save_model(path, tiny_model, sched)
+
+    def add_trainable(m):
+        for token in m["meta"]["modifier_tokens"]:
+            token["trainable"] = True
+
+    _rewrite_manifest(path, old, add_trainable)
+    assert b'"trainable":true' in open(old, "rb").read()
+    loaded, lsched = checkpoint.load_model(old)
+    assert loaded.vocab.modifiers == tiny_model.vocab.modifiers
+    resaved = str(tmp_path / "resaved.ckpt")
+    checkpoint.save_model(resaved, loaded, lsched)
+    assert open(resaved, "rb").read() == open(path, "rb").read()

@@ -164,6 +164,29 @@ def test_batch_of_one_fails_at_config_load(tmp_path, cli_inputs, monkeypatch, ca
         finetune.FineTuneConfig(batch=1)
 
 
+def test_merge_of_a_delta_from_another_architecture_exits_2(tmp_path, cli_inputs, capsys):
+    other = denoiser.build_model(denoiser.ModelConfig(d_attn=6), seed=0,
+                                 vocab=fixtures.fixture_vocab())
+    delta = str(tmp_path / "other_delta.ckpt")
+    checkpoint.save_delta(delta, analysis.extract_delta(other, other))
+    argv = _argv(cli_inputs, "merge")
+    argv[argv.index("--delta") + 1] = delta
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "architecture" in err
+
+
+def test_sample_gives_both_its_files_a_manifest(tmp_path, cli_inputs):
+    out = tmp_path / "img.pgm"
+    assert run_command(["sample", "--model", str(cli_inputs / "base.ckpt"),
+                        "--prompt", "photo of a blob", "--steps", "3",
+                        "--out", str(out)]) == 0
+    for path in (out, tmp_path / "img.pgm.json"):
+        with open(f"{path}.manifest.json") as fh:
+            assert json.load(fh)["command"] == "sample"
+
+
 def test_write_pgm(tmp_path):
     img = np.array([[-1.0, 0.0], [1.0, 0.5]])
     path = str(tmp_path / "img.pgm")

@@ -45,11 +45,13 @@ def test_augment_identity():
 @settings(max_examples=30, deadline=None)
 def test_augment_downscale_mask_marks_pasted_pixels(ratio, seed):
     s = _sample(seed=seed)
-    out = datamod.augment(s, np.random.default_rng(seed), ratio=ratio,
-                          canvas_value=0.123)
+    s.image[s.image == 0.0] = 0.5       # no source pixel looks like the canvas
+    out = datamod.augment(s, np.random.default_rng(seed), ratio=ratio)
     pasted = out.valid_mask.astype(bool)
-    # everything outside the mask is canvas, everything inside came from the image
-    assert np.all(out.image[~pasted] == 0.123)
+    # everything outside the mask is the 0.0 canvas, everything inside came
+    # from the image
+    assert np.all(out.image[~pasted] == 0.0)
+    assert np.all(out.image[pasted] != 0.0)
     assert pasted.sum() == max(int(round(ratio * 8)), 1) ** 2
     if ratio < 0.6:
         assert out.caption.endswith(("far away", "very small"))
@@ -77,7 +79,6 @@ def test_retrieval_filters_and_caps(pool_and_featurizer):
     pool, featurize = pool_and_featurizer
     reg = datamod.retrieve_regularization(pool, "photo of a blob", 0.85, 200,
                                           featurize)
-    assert reg.source == "retrieved"
     captions = [ex.caption for ex in reg.examples]
     # every exact-caption match survives; the least similar category is cut
     assert captions.count("photo of a blob") == 30
@@ -104,7 +105,7 @@ def test_retrieval_warns_when_empty(pool_and_featurizer):
 
 def test_balanced_batches_split():
     targets = [_sample(seed=i) for i in range(2)]
-    reg = datamod.RegularizationSet(examples=[_sample(seed=9)], source="retrieved")
+    reg = datamod.RegularizationSet(examples=[_sample(seed=9)])
     rng = np.random.default_rng(0)
     stream = datamod.balanced_batches(targets, reg, batch=6, rng=rng)
     batch = next(stream)

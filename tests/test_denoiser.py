@@ -63,8 +63,8 @@ def test_forward_is_deterministic_and_validates_shapes(tiny_model):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((cfg.height, cfg.width))
     c = rng.standard_normal((3, cfg.d_text))
-    a, _, _ = denoiser.forward(tiny_model, x[None], [2], [c])
-    b, _, _ = denoiser.forward(tiny_model, x[None], [2], [c])
+    a, _ = denoiser.forward(tiny_model, x[None], [2], [c])
+    b, _ = denoiser.forward(tiny_model, x[None], [2], [c])
     np.testing.assert_array_equal(a, b)
     assert a.shape == (1, cfg.height, cfg.width)
     np.testing.assert_array_equal(tiny_model.predict(x, 2, c), a[0])
@@ -92,7 +92,7 @@ def test_backward_matches_finite_differences(tiny_model):
         eps = tiny_model.predict(x, 3, c)
         return 0.5 * float(np.sum((eps - target) ** 2))
 
-    eps0, cache, _ = denoiser.forward(tiny_model, x[None], [3], [c])
+    eps0, cache = denoiser.forward(tiny_model, x[None], [3], [c])
     grads, (d_c,) = denoiser.backward(tiny_model, cache, eps0 - target[None])
 
     h = 1e-6
@@ -135,13 +135,13 @@ def test_batched_forward_and_backward_match_batch_of_one(tiny_model):
     assert [len(c) for c in cs] == [1, 3, 6]
     d_eps = rng.standard_normal(x.shape)
 
-    eps, cache, _ = denoiser.forward(tiny_model, x, ts, cs)
+    eps, cache = denoiser.forward(tiny_model, x, ts, cs)
     grads, d_c = denoiser.backward(tiny_model, cache, d_eps)
     assert set(grads) == set(tiny_model.params)
     assert [g.shape for g in d_c] == [c.shape for c in cs]
     total = {k: np.zeros_like(v) for k, v in tiny_model.params.items()}
     for i in range(3):
-        eps1, cache1, _ = denoiser.forward(tiny_model, x[i:i + 1], ts[i:i + 1], cs[i:i + 1])
+        eps1, cache1 = denoiser.forward(tiny_model, x[i:i + 1], ts[i:i + 1], cs[i:i + 1])
         np.testing.assert_allclose(eps[i], eps1[0], rtol=0, atol=1e-12)
         grads1, (d_c1,) = denoiser.backward(tiny_model, cache1, d_eps[i:i + 1])
         np.testing.assert_allclose(d_c[i], d_c1, rtol=0, atol=1e-12)
@@ -152,7 +152,7 @@ def test_batched_forward_and_backward_match_batch_of_one(tiny_model):
 
     kv = [k for k in tiny_model.params
           if k.role in (denoiser.ROLE_CROSS_KEY, denoiser.ROLE_CROSS_VALUE)]
-    _, cache, _ = denoiser.forward(tiny_model, x, ts, cs)
+    _, cache = denoiser.forward(tiny_model, x, ts, cs)
     only, d_c_only = denoiser.backward(tiny_model, cache, d_eps, keys=kv)
     assert set(only) == set(kv)
     for k in kv:

@@ -43,13 +43,14 @@ def test_forward_noise_formula():
 def test_losses():
     eps = np.array([[1.0, 0.0], [0.0, 1.0]])
     pred = np.zeros((2, 2))
-    assert diffusion.simple_loss(eps, pred) == pytest.approx(0.5)
+    # a mask of ones is the plain mean squared error
+    assert diffusion.masked_loss(eps, pred, np.ones((2, 2))) == pytest.approx(0.5)
     mask = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert diffusion.masked_loss(eps, pred, mask) == pytest.approx(1.0)
     with pytest.raises(InvalidInput):
         diffusion.masked_loss(eps, pred, np.zeros((2, 2)))
     with pytest.raises(InvalidInput):
-        diffusion.simple_loss(eps, pred[:1])
+        diffusion.masked_loss(eps, pred[:1], mask)
 
 
 def test_sampling_timesteps():

@@ -128,39 +128,71 @@ def _real_delta(base, name, source, category, seed):
     return analysis.extract_delta(base, report.model)
 
 
-def test_merge_model_on_two_fine_tuned_deltas(tiny_model):
-    # modifiers seeded from template words keep the four target rows apart
-    deltas = [_real_delta(tiny_model, "<new1>", "photo", "blob", 1),
-              _real_delta(tiny_model, "<new2>", "of", "ring", 2)]
-    captions = [["photo of a <new1> blob"], ["photo of a <new2> ring"]]
-    reg_captions = ["photo of a blob", "photo of a ring"]
-    outcome = merge.merge_model(tiny_model, deltas, captions, reg_captions)
-
+def _assert_merge_meets_oracle(base, outcome, deltas, captions, reg_captions):
+    """Every merged K/V matrix meets W C^T = V and the KKT oracle, with each
+    concept's weights rebuilt from its (dense or low-rank) delta; every other
+    matrix is the base's, bit for bit."""
     vocabs = []
     for delta in deltas:
-        vocab = tiny_model.vocab.clone()
+        vocab = base.vocab.clone()
         for name, emb in delta.modifier_embeddings:
             textmod.register_modifier_with_embedding(vocab, name, emb)
         vocabs.append(vocab)
     c_rows, owners = merge._target_rows(vocabs, captions)
-    creg = merge.reg_feature_rows(tiny_model.vocab, reg_captions)
-    kv = [k for k in tiny_model.params.sorted_keys()
-          if k.role in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE)]
-    for key in tiny_model.params.sorted_keys():
+    creg = merge.reg_feature_rows(base.vocab, reg_captions)
+    for key in base.params.sorted_keys():
         w_hat = outcome.model.params[key]
-        w0 = tiny_model.params[key]
-        if key not in kv:
+        w0 = base.params[key]
+        if key.role not in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE):
             assert w_hat.tobytes() == w0.tobytes(), key
             continue
         problem = merge.MergeProblem(
-            w0=w0, concept_weights=[w0 + d.entries[(key.layer, key.role)].dense
-                                    for d in deltas],
+            w0=w0, concept_weights=[
+                w0 + analysis.reconstruct_entry(d.entries[(key.layer, key.role)])
+                for d in deltas],
             target_features=c_rows, owners=owners, reg_features=creg)
         v_mat = merge.build_targets(problem)
         assert np.linalg.norm(w_hat @ c_rows.T - v_mat) <= 1e-8 * np.linalg.norm(v_mat), key
         w_kkt = merge.solve_kkt_oracle(problem)
         assert np.linalg.norm(w_hat - w_kkt) <= 1e-6 * max(np.linalg.norm(w_kkt), 1.0), key
-        # the deltas are real: each concept moved this matrix
-        assert all(np.any(d.entries[(key.layer, key.role)].dense != 0) for d in deltas)
+
+
+# modifiers seeded from template words keep the four target rows apart
+CAPTIONS = [["photo of a <new1> blob"], ["photo of a <new2> ring"]]
+REG_CAPTIONS = ["photo of a blob", "photo of a ring"]
+
+
+def _two_real_deltas(base):
+    return [_real_delta(base, "<new1>", "photo", "blob", 1),
+            _real_delta(base, "<new2>", "of", "ring", 2)]
+
+
+def test_merge_model_on_two_fine_tuned_deltas(tiny_model):
+    deltas = _two_real_deltas(tiny_model)
+    outcome = merge.merge_model(tiny_model, deltas, CAPTIONS, REG_CAPTIONS)
+    _assert_merge_meets_oracle(tiny_model, outcome, deltas, CAPTIONS, REG_CAPTIONS)
+    # the deltas are real: each concept moved every K/V matrix
+    for delta in deltas:
+        assert all(np.any(e.dense != 0) for e in delta.entries.values())
     assert len(outcome.solutions) == 1
     assert sorted(outcome.model.vocab.modifiers) == ["<new1>", "<new2>"]
+
+
+def test_merge_low_rank_delta_equals_merge_of_its_reconstruction(tiny_model):
+    dense1, dense2 = _two_real_deltas(tiny_model)
+    low = analysis.compress_delta(dense1, 0.6)
+    assert not any(e.is_dense for e in low.entries.values())
+    rebuilt = analysis.DeltaCheckpoint(
+        entries={k: analysis.DeltaEntry(dense=analysis.reconstruct_entry(e), shape=e.shape)
+                 for k, e in low.entries.items()},
+        modifier_embeddings=low.modifier_embeddings, config=low.config)
+    got = merge.merge_model(tiny_model, [low, dense2], CAPTIONS, REG_CAPTIONS)
+    want = merge.merge_model(tiny_model, [rebuilt, dense2], CAPTIONS, REG_CAPTIONS)
+    for key in tiny_model.params.sorted_keys():
+        assert got.model.params[key].tobytes() == want.model.params[key].tobytes(), key
+    assert got.model.vocab.embeddings.tobytes() == want.model.vocab.embeddings.tobytes()
+    _assert_merge_meets_oracle(tiny_model, got, [low, dense2], CAPTIONS, REG_CAPTIONS)
+    # compression changed the concept, so the merge differs from the dense one
+    dense = merge.merge_model(tiny_model, [dense1, dense2], CAPTIONS, REG_CAPTIONS)
+    assert any(not np.array_equal(got.model.params[k], dense.model.params[k])
+               for k in tiny_model.params if k.role == ROLE_CROSS_KEY)
