@@ -2,21 +2,25 @@
 
 Layout: 4-byte magic "CDCK", uint32-LE manifest length, UTF-8 JSON manifest,
 then the payload of little-endian float64 tensors at the offsets the manifest
-declares. The manifest JSON is canonicalized (sorted keys, no whitespace) so
-save -> load -> save is byte-identical.
+declares. Every tensor starts on a float64 word of the payload, and every
+payload value is finite. The manifest JSON is canonicalized (sorted keys, no
+whitespace) so save -> load -> save is byte-identical.
 """
 
+import functools
 import json
 import math
 import struct
 from dataclasses import asdict, fields
+from types import MappingProxyType
 
 import numpy as np
 
 from . import textmod
 from .analysis import DeltaCheckpoint, DeltaEntry
 from .config import _is_int, _is_list, _is_number, _is_strings
-from .denoiser import DenoiserNet, ModelConfig, ParamKey, ParamRegistry
+from .denoiser import (ROLE_CROSS_KEY, ROLE_CROSS_VALUE, DenoiserNet, ModelConfig,
+                       ParamRegistry, param_shapes)
 from .diffusion import NoiseSchedule
 from .errors import CorruptCheckpoint, InvalidInput
 
@@ -50,7 +54,9 @@ def _is_schedule(v):
 
 def _is_vocab(v):
     return (isinstance(v, dict) and _is_strings(v.get("tokens"))
-            and isinstance(v.get("counts"), dict) and _is_int(v.get("start_token"))
+            and isinstance(v.get("counts"), dict)
+            and all(type(c) is int for c in v["counts"].values())    # JSON ints, no bools
+            and _is_int(v.get("start_token")) and v["start_token"] < len(v["tokens"])
             and _is_int(v.get("seed")) and _is_number(v.get("scale", 1.0)))
 
 
@@ -61,9 +67,14 @@ def _is_modifier(m):
 
 
 def _is_delta_entry(e):
-    return (isinstance(e, dict) and _is_int(e.get("layer")) and _is_str(e.get("role"))
+    return (isinstance(e, dict) and _is_int(e.get("layer"))
+            and e.get("role") in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE)
             and e.get("form") in ("dense", "lowrank") and _is_list(e.get("shape"), _is_int)
-            and _is_number(e.get("residual")))
+            and len(e["shape"]) == 2 and _is_number(e.get("residual")))
+
+
+def _is_unique(items):
+    return len(set(items)) == len(items)
 
 
 # key -> check, for the manifest and for the meta keys each loader reads
@@ -73,8 +84,10 @@ _MANIFEST = {"format": lambda v: v == "CDCK", "version": lambda v: v == VERSION,
 _MODEL_META = {"config": _is_model_config, "schedule": _is_schedule, "vocab": _is_vocab,
                "modifier_tokens": lambda v: _is_list(v, _is_modifier)}
 _DELTA_META = {"config": lambda v: v is None or _is_model_config(v),
-               "energy_kept": _is_number, "modifier_names": _is_strings,
-               "entries": lambda v: _is_list(v, _is_delta_entry)}
+               "energy_kept": _is_number,
+               "modifier_names": lambda v: _is_strings(v) and _is_unique(v),
+               "entries": lambda v: _is_list(v, _is_delta_entry) and _is_unique(
+                   [(e["layer"], e["role"]) for e in v])}
 
 
 def _check_table(table, checks, what):
@@ -84,6 +97,18 @@ def _check_table(table, checks, what):
     bad = [key for key, check in checks.items() if not check(table.get(key))]
     if bad:
         raise CorruptCheckpoint(f"malformed {what}: {', '.join(bad)}")
+
+
+def _check_tensors(tensors, shapes, what):
+    """CorruptCheckpoint unless `tensors` holds exactly the names of
+    `shapes`, each with its shape."""
+    wrong = [n for n, shape in shapes.items() if n in tensors and tensors[n].shape != shape]
+    if wrong or tensors.keys() != shapes.keys():
+        problems = [(label, sorted(names)[:3]) for label, names in (
+            ("missing", shapes.keys() - tensors.keys()),
+            ("unexpected", tensors.keys() - shapes.keys()), ("wrong shape", wrong)) if names]
+        raise CorruptCheckpoint(f"malformed {what} tensors: " + "; ".join(
+            f"{label} {', '.join(map(repr, names))}" for label, names in problems))
 
 
 def save_container(path, tensors, meta):
@@ -119,22 +144,33 @@ def load_container(path):
         raise CorruptCheckpoint(f"unreadable manifest: {exc}") from None
     _check_table(manifest, _MANIFEST, "manifest")
     payload = raw[8 + mlen:]
+    # the payload read once as float64 words; every tensor starts on a word
+    words = np.frombuffer(payload, dtype="<f8", count=len(payload) // 8)
     tensors = {}
     spans = []
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
+        name, shape = entry["name"], tuple(entry["shape"])
         off, length = entry["offset"], entry["length"]
         if length != math.prod(shape) * 8:
-            raise CorruptCheckpoint(f"length mismatch for {entry['name']}")
+            raise CorruptCheckpoint(f"length mismatch for {name!r}")
         if off + length > len(payload):
-            raise CorruptCheckpoint(f"payload overflow for {entry['name']}")
-        spans.append((off, off + length, entry["name"]))
-        tensors[entry["name"]] = np.frombuffer(
-            payload[off:off + length], dtype="<f8").reshape(shape).copy()
+            raise CorruptCheckpoint(f"payload overflow for {name!r}")
+        if off % 8:
+            raise CorruptCheckpoint(f"tensor {name!r} does not start on a float64 word")
+        if name in tensors:
+            raise CorruptCheckpoint(f"duplicate tensor {name!r}")
+        spans.append((off, off + length, name))
+        tensors[name] = words[off // 8:(off + length) // 8].reshape(shape).copy()
     spans.sort()
     for (a0, a1, an), (b0, _, bn) in zip(spans, spans[1:]):
         if b0 < a1:
-            raise CorruptCheckpoint(f"overlapping tensors {an} and {bn}")
+            raise CorruptCheckpoint(f"overlapping tensors {an!r} and {bn!r}")
+    finite = np.isfinite(words)
+    if not finite.all():
+        at = 8 * int(np.argmin(finite))
+        owner = next((n for a, b, n in spans if a <= at < b), None)
+        raise CorruptCheckpoint(f"non-finite value in tensor {owner!r}" if owner
+                                else f"non-finite value at payload byte {at}")
     return tensors, manifest["meta"]
 
 
@@ -148,13 +184,34 @@ def _sched_from_meta(meta):
                                 beta_end=meta["beta_end"])
 
 
+def _param_name(key):
+    return f"params/{key.layer}/{key.role}/{key.name}"
+
+
+@functools.cache
+def _param_layout(cfg):
+    """Tensor name -> registry key and tensor name -> shape, for every
+    parameter of the architecture `cfg`, in key order (read-only: the
+    cache hands the same mappings to every caller)."""
+    shapes = param_shapes(cfg)
+    keys = {_param_name(k): k for k in sorted(shapes)}
+    return (MappingProxyType(keys),
+            MappingProxyType({name: shapes[k] for name, k in keys.items()}))
+
+
+def _length(tensors, name, axis):
+    """Length of axis `axis` of tensor `name`, or -1 where there is none."""
+    t = tensors.get(name)
+    return t.shape[axis] if t is not None and t.ndim > axis else -1
+
+
 def save_model(path, model, sched, kind=KIND_BASE):
     if kind not in (KIND_BASE, KIND_MERGED):
         raise InvalidInput(f"model checkpoints must be kind base/merged, not {kind!r}")
     vocab = model.vocab
     tensors = {}
     for key in model.params.sorted_keys():
-        tensors[f"params/{key.layer}/{key.role}/{key.name}"] = model.params[key]
+        tensors[_param_name(key)] = model.params[key]
     tensors["vocab/embeddings"] = vocab.embeddings
     meta = {"kind": kind,
             "config": asdict(model.config),
@@ -175,14 +232,11 @@ def load_model(path):
     if kind not in (KIND_BASE, KIND_MERGED):
         raise InvalidInput(f"expected a model checkpoint, found kind {kind!r}")
     _check_table(meta, _MODEL_META, "model meta")
-    cfg = ModelConfig(**meta["config"])
-    params = ParamRegistry()
-    for name, arr in tensors.items():
-        if not name.startswith("params/"):
-            continue
-        _, layer, role, pname = name.split("/")
-        params[ParamKey(int(layer), role, pname)] = arr
-    vmeta = meta["vocab"]
+    cfg, vmeta = ModelConfig(**meta["config"]), meta["vocab"]
+    keys, shapes = _param_layout(cfg)
+    _check_tensors(tensors, {**shapes, "vocab/embeddings": (len(vmeta["tokens"]), cfg.d_text)},
+                   "model")
+    params = ParamRegistry((k, tensors[name]) for name, k in keys.items())
     vocab = textmod.Vocabulary(
         tokens=list(vmeta["tokens"]),
         embeddings=tensors["vocab/embeddings"],
@@ -191,6 +245,9 @@ def load_model(path):
         seed=vmeta["seed"],
         scale=vmeta.get("scale", 1.0))
     for m in meta["modifier_tokens"]:
+        i = m["token_index"]
+        if i >= len(vocab.tokens) or vocab.tokens[i] != m["name"]:
+            raise CorruptCheckpoint(f"modifier {m['name']!r} is not token {i}")
         vocab.modifiers[m["name"]] = textmod.ModifierToken(
             name=m["name"], token_index=m["token_index"], source_token=m["source_token"])
     model = DenoiserNet(config=cfg, params=params, vocab=vocab)
@@ -227,20 +284,24 @@ def load_delta(path):
     if meta.get("kind") != KIND_DELTA:
         raise InvalidInput(f"expected a delta checkpoint, found kind {meta.get('kind')!r}")
     _check_table(meta, _DELTA_META, "delta meta")
-    entries = {}
-    for em in meta["entries"]:
-        layer, role = em["layer"], em["role"]
-        base = f"delta/{layer}/{role}"
-        if em["form"] == "dense":
-            entries[(layer, role)] = DeltaEntry(dense=tensors[base],
-                                                shape=tuple(em["shape"]),
-                                                residual=em["residual"])
-        else:
-            entries[(layer, role)] = DeltaEntry(
-                u=tensors[f"{base}/u"], sigma=tensors[f"{base}/sigma"],
-                vt=tensors[f"{base}/vt"], shape=tuple(em["shape"]),
-                residual=em["residual"])
-    mods = [(name, tensors[f"modifier/{name}"][0]) for name in meta["modifier_names"]]
     cfg = ModelConfig(**meta["config"]) if meta.get("config") else None
+    shapes, entries = {}, {}
+    for em in meta["entries"]:
+        (m, n), base = em["shape"], f"delta/{em['layer']}/{em['role']}"
+        if em["form"] == "dense":
+            shapes[base] = (m, n)
+            factors = {"dense": tensors.get(base)}
+        else:
+            r = _length(tensors, f"{base}/sigma", 0)
+            shapes.update({f"{base}/u": (m, r), f"{base}/sigma": (r,), f"{base}/vt": (r, n)})
+            factors = {f: tensors.get(f"{base}/{f}") for f in ("u", "sigma", "vt")}
+        entries[(em["layer"], em["role"])] = DeltaEntry(shape=(m, n), residual=em["residual"],
+                                                        **factors)
+    for name in meta["modifier_names"]:
+        # without a config, a row's width is checked when the delta is applied
+        key = f"modifier/{name}"
+        shapes[key] = (1, cfg.d_text if cfg else _length(tensors, key, 1))
+    _check_tensors(tensors, shapes, "delta")
+    mods = [(name, tensors[f"modifier/{name}"][0]) for name in meta["modifier_names"]]
     return DeltaCheckpoint(entries=entries, modifier_embeddings=mods,
                            energy_kept=meta["energy_kept"], config=cfg)

@@ -63,29 +63,36 @@ class ParamRegistry(dict):
         return out
 
 
+def param_shapes(cfg):
+    """Registry key -> shape of every parameter of the architecture `cfg`,
+    in initialisation order."""
+    attn_in, attn_out = (cfg.d_attn, cfg.d_model), (cfg.d_model, cfg.d_attn)
+    shapes = {ParamKey(0, ROLE_OTHER, "w_pix"): (1, cfg.d_model),
+              ParamKey(0, ROLE_OTHER, "w_time"): (cfg.d_model, cfg.d_model),
+              ParamKey(0, ROLE_OTHER, "w_out"): (1, cfg.d_model)}
+    for l in range(1, cfg.blocks + 1):
+        shapes.update({
+            ParamKey(l, ROLE_SELF, "wq"): attn_in,
+            ParamKey(l, ROLE_SELF, "wk"): attn_in,
+            ParamKey(l, ROLE_SELF, "wv"): attn_in,
+            ParamKey(l, ROLE_SELF, "wo"): attn_out,
+            ParamKey(l, ROLE_OTHER, "mlp_w1"): (cfg.hidden, cfg.d_model),
+            ParamKey(l, ROLE_OTHER, "mlp_w2"): (cfg.d_model, cfg.hidden),
+            ParamKey(l, ROLE_CROSS_QUERY, "wq"): attn_in,
+            ParamKey(l, ROLE_CROSS_KEY, "wk"): (cfg.d_attn, cfg.d_text),
+            ParamKey(l, ROLE_CROSS_VALUE, "wv"): (cfg.d_attn, cfg.d_text),
+            ParamKey(l, ROLE_CROSS_OUT, "wo"): attn_out})
+    return shapes
+
+
 def init_params(cfg, seed):
     """Scaled-Gaussian init (std = 1/sqrt(fan_in)); output projection is
     zeroed so the untrained model predicts zero noise."""
     rng = np.random.default_rng(seed)
-
-    def gauss(shape):
-        return rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape)
-
     reg = ParamRegistry()
-    reg[ParamKey(0, ROLE_OTHER, "w_pix")] = gauss((1, cfg.d_model))
-    reg[ParamKey(0, ROLE_OTHER, "w_time")] = gauss((cfg.d_model, cfg.d_model))
-    reg[ParamKey(0, ROLE_OTHER, "w_out")] = np.zeros((1, cfg.d_model))
-    for l in range(1, cfg.blocks + 1):
-        reg[ParamKey(l, ROLE_SELF, "wq")] = gauss((cfg.d_attn, cfg.d_model))
-        reg[ParamKey(l, ROLE_SELF, "wk")] = gauss((cfg.d_attn, cfg.d_model))
-        reg[ParamKey(l, ROLE_SELF, "wv")] = gauss((cfg.d_attn, cfg.d_model))
-        reg[ParamKey(l, ROLE_SELF, "wo")] = gauss((cfg.d_model, cfg.d_attn))
-        reg[ParamKey(l, ROLE_OTHER, "mlp_w1")] = gauss((cfg.hidden, cfg.d_model))
-        reg[ParamKey(l, ROLE_OTHER, "mlp_w2")] = gauss((cfg.d_model, cfg.hidden))
-        reg[ParamKey(l, ROLE_CROSS_QUERY, "wq")] = gauss((cfg.d_attn, cfg.d_model))
-        reg[ParamKey(l, ROLE_CROSS_KEY, "wk")] = gauss((cfg.d_attn, cfg.d_text))
-        reg[ParamKey(l, ROLE_CROSS_VALUE, "wv")] = gauss((cfg.d_attn, cfg.d_text))
-        reg[ParamKey(l, ROLE_CROSS_OUT, "wo")] = gauss((cfg.d_model, cfg.d_attn))
+    for key, shape in param_shapes(cfg).items():
+        reg[key] = (np.zeros(shape) if key.name == "w_out"
+                    else rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape))
     return reg
 
 

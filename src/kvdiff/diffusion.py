@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textmod
+from . import denoiser, textmod
 from .config import DEFAULT_CONFIG
 from .errors import InvalidInput, NumericalFailure
 
@@ -33,7 +33,7 @@ class NoiseSchedule:
         # betas are tuned for 1000-step chains; rescaling keeps alpha_bar_T
         # comparable when running shorter chains.
         betas = np.linspace(beta_start, beta_end, T) * (1000.0 / T)
-        if np.any(betas >= 1.0):
+        if not np.all((betas > 0.0) & (betas < 1.0)):
             raise InvalidInput("beta schedule leaves (0,1); reduce beta_end or increase T")
         alpha_bar = np.cumprod(1.0 - betas)
         return cls(betas=betas, alpha_bar=alpha_bar, T=T, beta_start=beta_start,
@@ -84,26 +84,25 @@ def sampling_timesteps(T, steps):
 def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     """Ancestral DDPM sampling with classifier-free guidance.
 
-    model must expose predict(x_t, t, c) -> eps and image_shape. Guidance is
-    eps_u + scale * (eps_c - eps_u); at scale == 1 the unconditional branch is
-    skipped. The predicted x0 is clipped to the image range [-1, 1].
-    Deterministic for a fixed seed.
+    Guidance is eps_u + scale * (eps_c - eps_u). Each step is one
+    denoiser.forward over both branches as a batch of two (the shorter
+    caption padded); at scale == 1 the batch holds the conditional branch
+    alone and uncond is never run. The predicted x0 is clipped to the image
+    range [-1, 1]. Deterministic for a fixed seed.
     """
     if scale < 0:
         raise InvalidInput("scale must be non-negative")
     if scale != 1.0 and uncond is None:
         raise InvalidInput("uncond features required when scale != 1")
+    captions = (cond,) if scale == 1.0 else (cond, uncond)
     ts = sampling_timesteps(sched.T, steps)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(model.image_shape)
     for i, t in enumerate(ts):
         t = int(t)
-        eps_c = model.predict(x, t, cond)
-        if scale == 1.0:
-            eps_hat = eps_c
-        else:
-            eps_u = model.predict(x, t, uncond)
-            eps_hat = eps_u + scale * (eps_c - eps_u)
+        eps, _ = denoiser.forward(model, np.stack([x] * len(captions)),
+                                  (t,) * len(captions), captions)
+        eps_hat = eps[0] if scale == 1.0 else eps[1] + scale * (eps[0] - eps[1])
         if not np.all(np.isfinite(eps_hat)):
             raise NumericalFailure(f"non-finite noise prediction at t={t}")
         ab_t = sched.alpha_bar_at(t)

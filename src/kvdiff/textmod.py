@@ -126,6 +126,9 @@ def register_modifier_with_embedding(vocab, name, embedding, source_token=""):
     embedding of one already registered: the one way a token joins a
     vocabulary (`register_modifier`, delta application, merging)."""
     embedding = np.asarray(embedding, dtype=np.float64)
+    if embedding.shape != (vocab.dim,):
+        raise InvalidInput(f"embedding of {name!r} has shape {embedding.shape}, "
+                           f"expected ({vocab.dim},)")
     if name in vocab._index:
         idx = vocab._index[name]
         vocab.embeddings[idx] = embedding

@@ -52,12 +52,8 @@ def target_images(target_examples):
 @pytest.fixture(scope="session")
 def sample_batch(schedule):
     def _sample(model, prompt, n=32, seed=500, scale=6.0, steps=SAMPLE_STEPS):
-        cond = textmod.encode_caption(model.vocab, textmod.tokenize(model.vocab, prompt))
-        uncond = textmod.encode_caption(model.vocab, textmod.tokenize(model.vocab, ""))
-        return np.stack([
-            diffusion.sample_cfg(model, cond, steps=steps, scale=scale,
-                                 seed=seed + i, sched=schedule, uncond=uncond)
-            for i in range(n)])
+        return np.stack(diffusion.sample_prompt(model, prompt, n, seed, schedule,
+                                                steps, scale))
     return _sample
 
 

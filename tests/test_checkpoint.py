@@ -1,15 +1,20 @@
 """Binary container format: round trips and corruption handling."""
 
+import functools
 import json
+import math
+import operator
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kvdiff import analysis, checkpoint, diffusion, textmod
 from kvdiff.cli import run_command
 from kvdiff.denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
-from kvdiff.errors import CorruptCheckpoint, InvalidInput
+from kvdiff.errors import CorruptCheckpoint, InvalidInput, KVDiffError
 
 
 @pytest.fixture
@@ -61,19 +66,26 @@ def test_corruption_detection(tmp_path):
             slice(0, len(raw)), raw[:6])))     # shorter than the header
 
 
-def _rewrite_manifest(path, out, edit):
-    """Copy the checkpoint at `path` to `out` with its manifest passed through
-    `edit`, which changes it in place or returns a replacement."""
+def _rewrite(path, out, edit):
+    """Copy the checkpoint at `path` to `out` with its manifest and payload
+    passed through `edit(manifest, payload)`, which changes them in place
+    (the payload is a bytearray) or returns a replacement manifest."""
     raw = open(path, "rb").read()
     (mlen,) = struct.unpack("<I", raw[4:8])
     manifest = json.loads(raw[8:8 + mlen])
-    manifest = edit(manifest) or manifest
+    payload = bytearray(raw[8 + mlen:])
+    manifest = edit(manifest, payload) or manifest
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     with open(out, "wb") as fh:
         fh.write(raw[:4])
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(raw[8 + mlen:])
+        fh.write(bytes(payload))
+
+
+def _rewrite_manifest(path, out, edit):
+    """_rewrite with the payload kept as it is."""
+    _rewrite(path, out, lambda manifest, payload: edit(manifest))
 
 
 def test_manifest_level_corruption(tmp_path):
@@ -86,6 +98,7 @@ def test_manifest_level_corruption(tmp_path):
         "length": lambda m: m["tensors"][0].__setitem__("length", 24),
         "overflow": lambda m: m["tensors"][1].__setitem__("offset", 1 << 20),
         "overlap": lambda m: m["tensors"][1].__setitem__("offset", 8),
+        "misaligned": lambda m: m["tensors"][0].__setitem__("offset", 4),
     }
     for name, edit in cases.items():
         bad = str(tmp_path / f"{name}.ckpt")
@@ -206,23 +219,154 @@ MALFORMED = {
 }
 
 
+def _assert_rejected(bad, kind, tmp_path, capsys):
+    """The loader of `kind` raises CorruptCheckpoint on `bad`, and the CLI
+    command that reads it exits 2 with one `error:` line."""
+    loader = checkpoint.load_model if kind == "model" else checkpoint.load_delta
+    with pytest.raises(CorruptCheckpoint):
+        loader(bad)
+    argv = (["sample", "--model", bad, "--prompt", "photo of a blob"] if kind == "model"
+            else ["compress", "--delta", bad, "--energy", "0.6"])
+    assert run_command(argv + ["--out", str(tmp_path / "out")]) == 2, kind
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def _save_good(tmp_path, tiny_model, sched):
+    """A base checkpoint with modifier <new1>, its dense K/V delta and that
+    delta compressed, by kind."""
+    good = {kind: str(tmp_path / f"{kind}.ckpt") for kind in ("model", "delta", "lowrank")}
+    delta = _make_delta(tiny_model)
+    textmod.register_modifier(tiny_model.vocab, "<new1>")
+    checkpoint.save_model(good["model"], tiny_model, sched)
+    checkpoint.save_delta(good["delta"], delta)
+    checkpoint.save_delta(good["lowrank"], analysis.compress_delta(delta, 0.6))
+    return good
+
+
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_manifest_is_corrupt_checkpoint(tmp_path, tiny_model, sched, capsys, case):
     kinds, edit = MALFORMED[case]
-    good = {"model": str(tmp_path / "m.ckpt"), "delta": str(tmp_path / "d.ckpt")}
-    checkpoint.save_model(good["model"], tiny_model, sched)
-    checkpoint.save_delta(good["delta"], _make_delta(tiny_model))
+    good = _save_good(tmp_path, tiny_model, sched)
     for kind in kinds.split():
         bad = str(tmp_path / f"bad_{kind}.ckpt")
         _rewrite_manifest(good[kind], bad, edit)
-        loader = checkpoint.load_model if kind == "model" else checkpoint.load_delta
-        with pytest.raises(CorruptCheckpoint):
-            loader(bad)
-        argv = (["sample", "--model", bad, "--prompt", "photo of a blob"] if kind == "model"
-                else ["compress", "--delta", bad, "--energy", "0.6"])
-        assert run_command(argv + ["--out", str(tmp_path / "out")]) == 2, kind
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1, err
+        _assert_rejected(bad, kind, tmp_path, capsys)
+
+
+def _tensor(manifest, name):
+    return next(e for e in manifest["tensors"] if e["name"] == name)
+
+
+def _drop_tensor(name):
+    def edit(manifest, payload):
+        manifest["tensors"].remove(_tensor(manifest, name))
+    return edit
+
+
+def _nan_first_value(manifest, payload):
+    payload[:8] = struct.pack("<d", float("nan"))
+
+
+def _extra_tensor(manifest, payload):
+    manifest["tensors"].append({"name": "params/3/other/w_pix", "dtype": "f64",
+                                "shape": [1, 6], "offset": len(payload), "length": 48})
+    payload.extend(bytes(48))
+
+
+# case -> (the checkpoints it applies to, edit of manifest and payload)
+MALFORMED_TENSORS = {
+    "base without vocab/embeddings": ("model", _drop_tensor("vocab/embeddings")),
+    "base without a key projection": ("model", _drop_tensor("params/1/cross_kv_key/wk")),
+    "three-part tensor name": ("model", lambda m, p: _tensor(
+        m, "params/0/other/w_pix").__setitem__("name", "params/0/other")),
+    "NaN payload": ("model delta lowrank", _nan_first_value),
+    "transposed key projection": ("model", lambda m, p: _tensor(
+        m, "params/1/cross_kv_key/wk")["shape"].reverse()),
+    "unexpected tensor": ("model", _extra_tensor),
+    "more tokens than embedding rows": ("model", lambda m, p: m["meta"]["vocab"][
+        "tokens"].append("extra")),
+    "modifier at another token": ("model", lambda m, p: m["meta"]["modifier_tokens"][
+        0].__setitem__("token_index", 0)),
+    "delta without an entry tensor": ("delta", _drop_tensor("delta/1/cross_kv_key")),
+    "transposed modifier row": ("delta", lambda m, p: _tensor(
+        m, "modifier/<new1>")["shape"].reverse()),
+    "duplicate delta entry": ("delta", lambda m, p: m["meta"]["entries"].append(
+        m["meta"]["entries"][0])),
+    "low-rank entry without sigma": ("lowrank",
+                                     _drop_tensor("delta/1/cross_kv_key/sigma")),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TENSORS)
+def test_malformed_tensor_is_corrupt_checkpoint(tmp_path, tiny_model, sched, capsys, case):
+    kinds, edit = MALFORMED_TENSORS[case]
+    good = _save_good(tmp_path, tiny_model, sched)
+    for kind in kinds.split():
+        bad = str(tmp_path / f"bad_{kind}.ckpt")
+        _rewrite(good[kind], bad, edit)
+        _assert_rejected(bad, kind, tmp_path, capsys)
+
+
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 40), st.floats(),
+                         st.text(max_size=3), st.lists(st.integers(-1, 9), max_size=3))
+
+
+def _positions(node, path=()):
+    """The path of every value below `node` in a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _positions(value, path + (key,))
+
+
+@pytest.mark.parametrize("kind", ["model", "delta", "lowrank"])
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_checkpoints_fail_only_with_kvdiff_errors(tmp_path, tiny_model, sched,
+                                                          kind, data):
+    base = tiny_model.clone()
+    good = _save_good(tmp_path, base, sched)
+
+    def mutate(manifest, payload):
+        op = data.draw(st.sampled_from(["drop", "rename", "reshape", "payload", "meta"]))
+        entries = manifest["tensors"]
+        entry = data.draw(st.sampled_from(entries), label="tensor")
+        if op == "drop":
+            entries.remove(entry)
+        elif op == "rename":
+            entry["name"] = data.draw(st.sampled_from([e["name"] for e in entries])
+                                      | st.text(max_size=12), label="name")
+        elif op == "reshape":
+            shape, n = entry["shape"], math.prod(entry["shape"])
+            entry["shape"] = data.draw(st.sampled_from([[n], shape[::-1], shape + [1]]),
+                                       label="shape")
+        elif op == "payload":
+            i = data.draw(st.integers(0, len(payload) // 8 - 1), label="index")
+            payload[8 * i:8 * i + 8] = struct.pack("<d", data.draw(st.floats()))
+        else:
+            path = data.draw(st.sampled_from(list(_positions(manifest["meta"]))), label="path")
+            parent = functools.reduce(operator.getitem, path[:-1], manifest["meta"])
+            if data.draw(st.booleans(), label="delete"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_JSON_VALUES, label="value")
+
+    bad = str(tmp_path / "bad.ckpt")
+    _rewrite(good[kind], bad, mutate)
+    argv = (["sample", "--model", bad, "--prompt", "photo of a <new1> blob", "--steps", "3"]
+            if kind == "model" else ["compress", "--delta", bad, "--energy", "0.6"])
+    with np.errstate(all="ignore"):
+        # run_command turns a KVDiffError into exit code 2; anything else
+        # propagates
+        assert run_command(argv + ["--out", str(tmp_path / "out")]) in (0, 2)
+        if kind != "model":
+            try:
+                analysis.apply_delta(base, checkpoint.load_delta(bad))
+            except KVDiffError:
+                pass
 
 
 def test_trainable_flag_of_older_checkpoints_is_ignored(tmp_path, tiny_model, sched):

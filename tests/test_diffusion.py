@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kvdiff import diffusion
+from kvdiff import denoiser, diffusion, textmod
 from kvdiff.errors import InvalidInput
 
 
@@ -18,6 +18,10 @@ def test_schedule_basic_properties():
         sched.alpha_bar_at(51)
     with pytest.raises(InvalidInput):
         diffusion.NoiseSchedule.linear(T=0)
+    # betas must lie in (0, 1): a zero, negative or NaN start is rejected
+    for beta_start in (0.0, -1e-3, float("nan")):
+        with pytest.raises(InvalidInput):
+            diffusion.NoiseSchedule.linear(T=50, beta_start=beta_start)
 
 
 def test_schedule_rescale_keeps_terminal_alpha_bar():
@@ -66,33 +70,28 @@ def test_sampling_timesteps():
         diffusion.sampling_timesteps(10, 0)
 
 
-class _StubModel:
-    """Predicts a fixed multiple of the state so the reverse chain can be
-    replayed by hand."""
-
-    image_shape = (3, 3)
-
-    def __init__(self, coef=0.0):
-        self.coef = coef
-        self.calls = []
-
-    def predict(self, x_t, t, c):
-        self.calls.append((t, None if c is None else c.shape))
-        return self.coef * x_t
+def _captions(model, prompt):
+    vocab = model.vocab
+    return (textmod.encode_caption(vocab, textmod.tokenize(vocab, prompt)),
+            textmod.encode_caption(vocab, textmod.tokenize(vocab, "")))
 
 
-def test_sample_cfg_matches_manual_posterior_recursion():
+def test_sample_cfg_matches_manual_posterior_recursion(tiny_model):
     sched = diffusion.NoiseSchedule.linear(T=40)
-    model = _StubModel(coef=0.1)
-    cond = np.ones((2, 4))
-    got = diffusion.sample_cfg(model, cond, steps=8, scale=1.0, seed=3, sched=sched)
+    cond, uncond = _captions(tiny_model, "photo of a blob")
+    assert cond.shape[0] == 5 and uncond.shape[0] == 1
+    got = diffusion.sample_cfg(tiny_model, cond, steps=8, scale=6.0, seed=3, sched=sched,
+                               uncond=uncond)
 
-    # independent replay of the respaced ancestral update
+    # independent replay of the respaced ancestral update, one predict call
+    # per guidance branch
     ts = diffusion.sampling_timesteps(40, 8)
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((3, 3))
+    x = rng.standard_normal((4, 4))
     for i, t in enumerate(ts):
-        eps_hat = 0.1 * x
+        eps_c = tiny_model.predict(x, int(t), cond)
+        eps_u = tiny_model.predict(x, int(t), uncond)
+        eps_hat = eps_u + 6.0 * (eps_c - eps_u)
         ab_t = sched.alpha_bar_at(int(t))
         t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
         ab_p = sched.alpha_bar_at(t_prev)
@@ -105,21 +104,37 @@ def test_sample_cfg_matches_manual_posterior_recursion():
             x = mean
         else:
             x = mean + np.sqrt(var) * rng.standard_normal(x.shape)
-    np.testing.assert_allclose(got, x, atol=1e-12)
+    np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
 
 
-def test_sample_cfg_determinism_and_guidance_branches():
+def test_sample_cfg_determinism_and_guidance_branches(tiny_model, monkeypatch):
     sched = diffusion.NoiseSchedule.linear(T=30)
-    cond = np.ones((2, 4))
-    uncond = np.zeros((2, 4))
-    a = diffusion.sample_cfg(_StubModel(), cond, 5, 6.0, 9, sched, uncond=uncond)
-    b = diffusion.sample_cfg(_StubModel(), cond, 5, 6.0, 9, sched, uncond=uncond)
-    np.testing.assert_array_equal(a, b)
-    # scale 1 must not evaluate the unconditional branch
-    model = _StubModel()
-    diffusion.sample_cfg(model, cond, 5, 1.0, 9, sched)
-    assert len(model.calls) == 5
+    cond, uncond = _captions(tiny_model, "photo of a blob")
+    a = diffusion.sample_cfg(tiny_model, cond, 5, 6.0, 9, sched, uncond=uncond)
+    b = diffusion.sample_cfg(tiny_model, cond, 5, 6.0, 9, sched, uncond=uncond)
+    assert a.tobytes() == b.tobytes()
+    # scale 1 must not evaluate the unconditional branch: one forward of
+    # batch 1 per step
+    batches = []
+    inner = denoiser.forward
+
+    def counted(model, x_t, t, c):
+        batches.append(len(x_t))
+        return inner(model, x_t, t, c)
+
+    monkeypatch.setattr(denoiser, "forward", counted)
+    diffusion.sample_cfg(tiny_model, cond, 5, 1.0, 9, sched)
+    assert batches == [1] * 5
     with pytest.raises(InvalidInput):
-        diffusion.sample_cfg(_StubModel(), cond, 5, 6.0, 9, sched)   # no uncond
+        diffusion.sample_cfg(tiny_model, cond, 5, 6.0, 9, sched)   # no uncond
     with pytest.raises(InvalidInput):
-        diffusion.sample_cfg(_StubModel(), cond, 5, -1.0, 9, sched, uncond=uncond)
+        diffusion.sample_cfg(tiny_model, cond, 5, -1.0, 9, sched, uncond=uncond)
+
+
+def test_sample_survives_a_later_sample(tiny_model):
+    sched = diffusion.NoiseSchedule.linear(T=30)
+    cond, uncond = _captions(tiny_model, "photo of a blob")
+    first = diffusion.sample_cfg(tiny_model, cond, 5, 6.0, 9, sched, uncond=uncond)
+    kept = first.copy()
+    diffusion.sample_cfg(tiny_model, uncond, 5, 6.0, 10, sched, uncond=uncond)
+    assert first.tobytes() == kept.tobytes()

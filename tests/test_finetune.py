@@ -135,3 +135,29 @@ def test_sequential_training_accumulates_modifiers(tiny_model):
         assert not np.array_equal(report.model.vocab.embeddings[mod.token_index],
                                   tiny_model.vocab.embeddings[mod.token_index])
     assert report.loss_curve.shape == (4,)
+
+
+def test_batch_gradients_results_survive_a_later_call(tiny_model):
+    # the finite-difference K/V check keeps the first call's gradients while
+    # it calls again on a model with one entry moved; no returned array may
+    # share memory that a later call writes
+    sched = diffusion.NoiseSchedule.linear(T=25)
+    mod = textmod.register_modifier(tiny_model.vocab, "<new1>")
+    batch = _examples(tiny_model, n=4, modifier=mod)
+
+    def call():
+        return finetune.batch_gradients(tiny_model, batch, sched, np.random.default_rng(4),
+                                        modifier_indices=(mod.token_index,))
+
+    loss, grads, emb_grads = call()
+    kept = (loss, {k: g.copy() for k, g in grads.items()},
+            {i: g.copy() for i, g in emb_grads.items()})
+    key = next(k for k in tiny_model.params.sorted_keys() if k.role == ROLE_CROSS_KEY)
+    moved = tiny_model.params[key].copy()
+    moved[1, 2] += 1e-3
+    tiny_model.params[key] = moved
+    assert call()[0] != loss
+    assert loss == kept[0]
+    assert grads.keys() == kept[1].keys() and emb_grads.keys() == kept[2].keys()
+    assert all(grads[k].tobytes() == g.tobytes() for k, g in kept[1].items())
+    assert all(emb_grads[i].tobytes() == g.tobytes() for i, g in kept[2].items())

@@ -76,6 +76,11 @@ def test_register_modifier_with_embedding(fx_vocab):
     textmod.register_modifier_with_embedding(fx_vocab, "<newz>", emb + 1)
     assert len(fx_vocab.tokens) == n
     np.testing.assert_array_equal(fx_vocab.embeddings[mod.token_index], emb + 1)
+    # a row of another width is an input error, new token or not
+    for name in ("<newz>", "<newy>"):
+        with pytest.raises(InvalidInput):
+            textmod.register_modifier_with_embedding(fx_vocab, name, emb[:-1])
+    assert len(fx_vocab.tokens) == n
 
 
 def test_vocab_spec_round_trip(tmp_path, fx_vocab):
