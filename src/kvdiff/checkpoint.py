@@ -7,12 +7,10 @@ payload value is finite. The manifest JSON is canonicalized (sorted keys, no
 whitespace) so save -> load -> save is byte-identical.
 """
 
-import functools
 import json
 import math
 import struct
 from dataclasses import asdict, fields
-from types import MappingProxyType
 
 import numpy as np
 
@@ -55,7 +53,7 @@ def _is_schedule(v):
 def _is_vocab(v):
     return (isinstance(v, dict) and _is_strings(v.get("tokens"))
             and isinstance(v.get("counts"), dict)
-            and all(type(c) is int for c in v["counts"].values())    # JSON ints, no bools
+            and all(_is_number(c) for c in v["counts"].values())
             and _is_int(v.get("start_token")) and v["start_token"] < len(v["tokens"])
             and _is_int(v.get("seed")) and _is_number(v.get("scale", 1.0)))
 
@@ -188,17 +186,6 @@ def _param_name(key):
     return f"params/{key.layer}/{key.role}/{key.name}"
 
 
-@functools.cache
-def _param_layout(cfg):
-    """Tensor name -> registry key and tensor name -> shape, for every
-    parameter of the architecture `cfg`, in key order (read-only: the
-    cache hands the same mappings to every caller)."""
-    shapes = param_shapes(cfg)
-    keys = {_param_name(k): k for k in sorted(shapes)}
-    return (MappingProxyType(keys),
-            MappingProxyType({name: shapes[k] for name, k in keys.items()}))
-
-
 def _length(tensors, name, axis):
     """Length of axis `axis` of tensor `name`, or -1 where there is none."""
     t = tensors.get(name)
@@ -233,9 +220,15 @@ def load_model(path):
         raise InvalidInput(f"expected a model checkpoint, found kind {kind!r}")
     _check_table(meta, _MODEL_META, "model meta")
     cfg, vmeta = ModelConfig(**meta["config"]), meta["vocab"]
-    keys, shapes = _param_layout(cfg)
-    _check_tensors(tensors, {**shapes, "vocab/embeddings": (len(vmeta["tokens"]), cfg.d_text)},
-                   "model")
+    # every block holds at least one tensor: bounds the layout built below
+    # by the file's own manifest whatever `blocks` the meta claims
+    if cfg.blocks > sum(name.startswith("params/") for name in tensors):
+        raise CorruptCheckpoint(f"config claims {cfg.blocks} blocks, more than the "
+                                "file has parameter tensors")
+    shapes = param_shapes(cfg)
+    keys = {_param_name(k): k for k in sorted(shapes)}
+    _check_tensors(tensors, {**{name: shapes[k] for name, k in keys.items()},
+                             "vocab/embeddings": (len(vmeta["tokens"]), cfg.d_text)}, "model")
     params = ParamRegistry((k, tensors[name]) for name, k in keys.items())
     vocab = textmod.Vocabulary(
         tokens=list(vmeta["tokens"]),

@@ -124,6 +124,22 @@ def test_model_round_trip(tmp_path, tiny_model, sched):
                                   tiny_model.vocab.embeddings)
 
 
+def test_vocabulary_counts_read_from_a_spec_round_trip(tmp_path, tiny_model, sched):
+    # a vocabulary spec may give any number as a count; a model built from
+    # it must load back
+    spec = tmp_path / "vocab.json"
+    spec.write_text(json.dumps({"tokens": ["photo", "of", "a", "blob", "ring"],
+                                "counts": {"blob": 8.5, "ring": 8.0, "a": 3}, "dim": 5}))
+    model = tiny_model.clone()
+    model.vocab = textmod.load_vocabulary(str(spec))
+    path = str(tmp_path / "m.ckpt")
+    checkpoint.save_model(path, model, sched)
+    loaded, _ = checkpoint.load_model(path)
+    assert loaded.vocab.corpus_counts == {"blob": 8.5, "ring": 8.0, "a": 3}
+    assert run_command(["sample", "--model", path, "--prompt", "photo of a blob",
+                        "--steps", "2", "--out", str(tmp_path / "out")]) == 0
+
+
 def test_schedule_round_trip_is_exact(tmp_path, tiny_model):
     # parameters whose betas do not divide back exactly out of the rescaled
     # schedule; the checkpoint must store what the schedule was built from
@@ -284,6 +300,8 @@ MALFORMED_TENSORS = {
     "transposed key projection": ("model", lambda m, p: _tensor(
         m, "params/1/cross_kv_key/wk")["shape"].reverse()),
     "unexpected tensor": ("model", _extra_tensor),
+    "config of a billion blocks": ("model", lambda m, p: m["meta"]["config"].__setitem__(
+        "blocks", 10 ** 9)),
     "more tokens than embedding rows": ("model", lambda m, p: m["meta"]["vocab"][
         "tokens"].append("extra")),
     "modifier at another token": ("model", lambda m, p: m["meta"]["modifier_tokens"][
@@ -322,7 +340,7 @@ def _positions(node, path=()):
 
 
 @pytest.mark.parametrize("kind", ["model", "delta", "lowrank"])
-@settings(max_examples=15, deadline=None,
+@settings(max_examples=15, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_checkpoints_fail_only_with_kvdiff_errors(tmp_path, tiny_model, sched,
