@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textmod
-from .denoiser import CROSS_ROLES, ROLE_CROSS_KEY, ROLE_CROSS_VALUE, ROLE_SELF
+from .denoiser import CROSS_ROLES, KV_ROLES, ROLE_SELF
 from .errors import InvalidInput
 from .linalg import frobenius_norm, thin_svd
 
@@ -47,8 +47,8 @@ def reconstruct_entry(entry):
 class DeltaCheckpoint:
     entries: dict                      # (layer, role) -> DeltaEntry, kv roles only
     modifier_embeddings: list          # [(name, vector)]
+    config: object                     # ModelConfig of the producing model
     energy_kept: float = 1.0
-    config: object = None              # ModelConfig of the producing model
 
 
 @dataclass
@@ -95,7 +95,7 @@ def extract_delta(base, tuned):
     """Dense K/V delta plus modifier embeddings present only in the tuned vocab."""
     entries = {}
     for key in base.params.sorted_keys():
-        if key.role in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE):
+        if key.role in KV_ROLES:
             diff = tuned.params[key] - base.params[key]
             entries[(key.layer, key.role)] = DeltaEntry(dense=diff, shape=diff.shape)
     mods = []
@@ -139,7 +139,7 @@ def compress_delta(delta, energy):
 
 def apply_delta(base, delta):
     """base + reconstructed delta on the K/V entries; modifier tokens registered."""
-    if delta.config is not None and delta.config != base.config:
+    if delta.config != base.config:
         raise InvalidInput("delta architecture does not match base model")
     model = base.clone()
     for (layer, role), entry in delta.entries.items():

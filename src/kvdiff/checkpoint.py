@@ -1,12 +1,13 @@
 """Bit-exact binary checkpoint container.
 
 Layout: 4-byte magic "CDCK", uint32-LE manifest length, UTF-8 JSON manifest,
-then the payload of little-endian float64 tensors at the offsets the manifest
-declares. Every tensor starts on a float64 word of the payload, and every
-payload value is finite. The manifest JSON is canonicalized (sorted keys, no
-whitespace) so save -> load -> save is byte-identical.
+then the payload: the little-endian float64 tensors back to back in manifest
+order, so each tensor's offset and length follow from the shapes before it.
+Every payload value is finite. The manifest JSON is canonicalized (sorted
+keys, no whitespace) so save -> load -> save is byte-identical.
 """
 
+import itertools
 import json
 import math
 import struct
@@ -16,9 +17,8 @@ import numpy as np
 
 from . import textmod
 from .analysis import DeltaCheckpoint, DeltaEntry
-from .config import _is_int, _is_list, _is_number, _is_strings
-from .denoiser import (ROLE_CROSS_KEY, ROLE_CROSS_VALUE, DenoiserNet, ModelConfig,
-                       ParamRegistry, param_shapes)
+from .config import _is_int, _is_list, _is_number, _is_strings, _is_vocabulary
+from .denoiser import KV_ROLES, DenoiserNet, ModelConfig, ParamRegistry, param_shapes
 from .diffusion import NoiseSchedule
 from .errors import CorruptCheckpoint, InvalidInput
 
@@ -50,14 +50,6 @@ def _is_schedule(v):
             and _is_number(v.get("beta_start")) and _is_number(v.get("beta_end")))
 
 
-def _is_vocab(v):
-    return (isinstance(v, dict) and _is_strings(v.get("tokens"))
-            and isinstance(v.get("counts"), dict)
-            and all(_is_number(c) for c in v["counts"].values())
-            and _is_int(v.get("start_token")) and v["start_token"] < len(v["tokens"])
-            and _is_int(v.get("seed")) and _is_number(v.get("scale", 1.0)))
-
-
 def _is_modifier(m):
     # older checkpoints also carry a `trainable` flag, which is ignored
     return (isinstance(m, dict) and _is_str(m.get("name")) and _is_int(m.get("token_index"))
@@ -66,7 +58,7 @@ def _is_modifier(m):
 
 def _is_delta_entry(e):
     return (isinstance(e, dict) and _is_int(e.get("layer"))
-            and e.get("role") in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE)
+            and e.get("role") in KV_ROLES
             and e.get("form") in ("dense", "lowrank") and _is_list(e.get("shape"), _is_int)
             and len(e["shape"]) == 2 and _is_number(e.get("residual")))
 
@@ -79,9 +71,11 @@ def _is_unique(items):
 _MANIFEST = {"format": lambda v: v == "CDCK", "version": lambda v: v == VERSION,
              "tensors": lambda v: _is_list(v, _is_tensor),
              "meta": lambda v: isinstance(v, dict)}
-_MODEL_META = {"config": _is_model_config, "schedule": _is_schedule, "vocab": _is_vocab,
+_MODEL_META = {"config": _is_model_config, "schedule": _is_schedule,
+               "vocab": lambda v: _is_vocabulary(v) and _is_int(v.get("start_token"))
+               and v["start_token"] < len(v["tokens"]),
                "modifier_tokens": lambda v: _is_list(v, _is_modifier)}
-_DELTA_META = {"config": lambda v: v is None or _is_model_config(v),
+_DELTA_META = {"config": _is_model_config,
                "energy_kept": _is_number,
                "modifier_names": lambda v: _is_strings(v) and _is_unique(v),
                "entries": lambda v: _is_list(v, _is_delta_entry) and _is_unique(
@@ -141,34 +135,26 @@ def load_container(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"unreadable manifest: {exc}") from None
     _check_table(manifest, _MANIFEST, "manifest")
-    payload = raw[8 + mlen:]
-    # the payload read once as float64 words; every tensor starts on a word
-    words = np.frombuffer(payload, dtype="<f8", count=len(payload) // 8)
+    entries, payload = manifest["tensors"], raw[8 + mlen:]
+    # tensors lie back to back in manifest order: entry i holds float64
+    # words bounds[i]:bounds[i + 1], and the payload ends with the last one
+    bounds = list(itertools.accumulate((math.prod(e["shape"]) for e in entries), initial=0))
+    if len(payload) != 8 * bounds[-1]:
+        raise CorruptCheckpoint(f"payload is {len(payload)} bytes, its tensors fill "
+                                f"{8 * bounds[-1]}")
+    words = np.frombuffer(payload, dtype="<f8")
     tensors = {}
-    spans = []
-    for entry in manifest["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        off, length = entry["offset"], entry["length"]
-        if length != math.prod(shape) * 8:
-            raise CorruptCheckpoint(f"length mismatch for {name!r}")
-        if off + length > len(payload):
-            raise CorruptCheckpoint(f"payload overflow for {name!r}")
-        if off % 8:
-            raise CorruptCheckpoint(f"tensor {name!r} does not start on a float64 word")
-        if name in tensors:
-            raise CorruptCheckpoint(f"duplicate tensor {name!r}")
-        spans.append((off, off + length, name))
-        tensors[name] = words[off // 8:(off + length) // 8].reshape(shape).copy()
-    spans.sort()
-    for (a0, a1, an), (b0, _, bn) in zip(spans, spans[1:]):
-        if b0 < a1:
-            raise CorruptCheckpoint(f"overlapping tensors {an!r} and {bn!r}")
+    for e, start, end in zip(entries, bounds, bounds[1:]):
+        if (e["offset"], e["length"]) != (8 * start, 8 * (end - start)):
+            raise CorruptCheckpoint(f"tensor {e['name']!r} must fill payload bytes "
+                                    f"{8 * start}..{8 * end}")
+        if e["name"] in tensors:
+            raise CorruptCheckpoint(f"duplicate tensor {e['name']!r}")
+        tensors[e["name"]] = words[start:end].reshape(e["shape"]).copy()
     finite = np.isfinite(words)
     if not finite.all():
-        at = 8 * int(np.argmin(finite))
-        owner = next((n for a, b, n in spans if a <= at < b), None)
-        raise CorruptCheckpoint(f"non-finite value in tensor {owner!r}" if owner
-                                else f"non-finite value at payload byte {at}")
+        owner = entries[np.searchsorted(bounds, np.argmin(finite), side="right") - 1]["name"]
+        raise CorruptCheckpoint(f"non-finite value in tensor {owner!r}")
     return tensors, manifest["meta"]
 
 
@@ -184,12 +170,6 @@ def _sched_from_meta(meta):
 
 def _param_name(key):
     return f"params/{key.layer}/{key.role}/{key.name}"
-
-
-def _length(tensors, name, axis):
-    """Length of axis `axis` of tensor `name`, or -1 where there is none."""
-    t = tensors.get(name)
-    return t.shape[axis] if t is not None and t.ndim > axis else -1
 
 
 def save_model(path, model, sched, kind=KIND_BASE):
@@ -235,7 +215,7 @@ def load_model(path):
         embeddings=tensors["vocab/embeddings"],
         start_token=vmeta["start_token"],
         corpus_counts=dict(vmeta["counts"]),
-        seed=vmeta["seed"],
+        seed=vmeta.get("seed", 0),
         scale=vmeta.get("scale", 1.0))
     for m in meta["modifier_tokens"]:
         i = m["token_index"]
@@ -268,7 +248,7 @@ def save_delta(path, delta):
             "energy_kept": delta.energy_kept,
             "entries": entries_meta,
             "modifier_names": [name for name, _ in delta.modifier_embeddings],
-            "config": asdict(delta.config) if delta.config is not None else None}
+            "config": asdict(delta.config)}
     save_container(path, tensors, meta)
 
 
@@ -277,7 +257,7 @@ def load_delta(path):
     if meta.get("kind") != KIND_DELTA:
         raise InvalidInput(f"expected a delta checkpoint, found kind {meta.get('kind')!r}")
     _check_table(meta, _DELTA_META, "delta meta")
-    cfg = ModelConfig(**meta["config"]) if meta.get("config") else None
+    cfg = ModelConfig(**meta["config"])
     shapes, entries = {}, {}
     for em in meta["entries"]:
         (m, n), base = em["shape"], f"delta/{em['layer']}/{em['role']}"
@@ -285,15 +265,14 @@ def load_delta(path):
             shapes[base] = (m, n)
             factors = {"dense": tensors.get(base)}
         else:
-            r = _length(tensors, f"{base}/sigma", 0)
+            sigma = tensors.get(f"{base}/sigma")
+            r = sigma.shape[0] if sigma is not None and sigma.ndim else -1
             shapes.update({f"{base}/u": (m, r), f"{base}/sigma": (r,), f"{base}/vt": (r, n)})
             factors = {f: tensors.get(f"{base}/{f}") for f in ("u", "sigma", "vt")}
         entries[(em["layer"], em["role"])] = DeltaEntry(shape=(m, n), residual=em["residual"],
                                                         **factors)
     for name in meta["modifier_names"]:
-        # without a config, a row's width is checked when the delta is applied
-        key = f"modifier/{name}"
-        shapes[key] = (1, cfg.d_text if cfg else _length(tensors, key, 1))
+        shapes[f"modifier/{name}"] = (1, cfg.d_text)
     _check_tensors(tensors, shapes, "delta")
     mods = [(name, tensors[f"modifier/{name}"][0]) for name in meta["modifier_names"]]
     return DeltaCheckpoint(entries=entries, modifier_embeddings=mods,

@@ -58,15 +58,19 @@ def _write_manifest(artifact_path, command, cfg):
                  "format_version": FORMAT_VERSION})
 
 
+def _sampler_steps(args, cfg, sched):
+    """The config's sampler steps, capped at the checkpoint's T unless given
+    with --steps: an explicit count beyond T is an error when sampling."""
+    steps = cfg["sampler"]["steps"]
+    return steps if getattr(args, "steps", None) is not None else min(steps, sched.T)
+
+
 def cmd_pretrain(args, cfg):
     vocab = textmod.load_vocabulary(args.vocab)
     dataset = datamod.load_dataset(args.data)
     sched = diffusion.NoiseSchedule.linear(**cfg["schedule"])
-    p = cfg["pretrain"]
-    model, _ = finetune.pretrain(
-        vocab, dataset, model_cfg=ModelConfig(**cfg["model"]), sched=sched,
-        steps=p["steps"], learning_rate=p["learning_rate"], batch=p["batch"],
-        seed=p["seed"], cond_dropout=p["cond_dropout"], init_seed=p["init_seed"])
+    model, _ = finetune.pretrain(vocab, dataset, model_cfg=ModelConfig(**cfg["model"]),
+                                 sched=sched, **cfg["pretrain"])
     checkpoint.save_model(args.out, model, sched, kind=checkpoint.KIND_BASE)
     return [args.out]
 
@@ -96,7 +100,7 @@ def cmd_finetune(args, cfg):
         category = merge.extract_target_words(target_caption)[0]
         reg = datamod.generate_regularization(
             base, category, cfg["retrieval"]["cap"], tcfg.seed, sched,
-            steps=min(cfg["sampler"]["steps"], sched.T), scale=cfg["sampler"]["scale"])
+            steps=_sampler_steps(args, cfg, sched), scale=cfg["sampler"]["scale"])
     report = finetune.finetune(base, [(examples, modifier)], tcfg, reg, sched)
     checkpoint.save_model(args.out, report.model, sched, kind=checkpoint.KIND_BASE)
     written = [args.out]
@@ -121,9 +125,7 @@ def cmd_merge(args, cfg):
 
 def cmd_sample(args, cfg):
     model, sched = checkpoint.load_model(args.model)
-    steps = cfg["sampler"]["steps"]
-    if args.steps is None:      # an explicit --steps beyond the checkpoint's T is an error
-        steps = min(steps, sched.T)
+    steps = _sampler_steps(args, cfg, sched)
     img = diffusion.sample_prompt(model, args.prompt, 1, args.seed, sched, steps,
                                   cfg["sampler"]["scale"])[0]
     write_pgm(args.out, img)
@@ -172,7 +174,7 @@ def cmd_eval(args, cfg):
     if validation and min(len(validation), args.num) < 2:
         raise InvalidInput("KID against --validation needs 2 or more images on each side")
     generated = diffusion.sample_prompt(model, args.prompt, args.num, args.seed, sched,
-                                        min(cfg["sampler"]["steps"], sched.T),
+                                        _sampler_steps(args, cfg, sched),
                                         cfg["sampler"]["scale"])
     report = evaluation.model_metrics(
         generated, [t.image for t in targets], args.prompt, _featurizer(cfg), model.vocab,

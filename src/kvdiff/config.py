@@ -63,19 +63,22 @@ def _is_dataset(rows):
         and len(r["pixels"]) == r["height"] * r["width"]))
 
 
-def _is_vocabulary(spec):
-    return (isinstance(spec, dict) and _is_strings(spec.get("tokens"))
-            and isinstance(spec.get("counts"), dict)
-            and all(_is_number(c) for c in spec["counts"].values())
-            and _is_int(spec.get("dim"), 1) and _is_int(spec.get("seed", 0))
-            and _is_number(spec.get("scale", 1.0)) and spec.get("scale", 1.0) >= 0)
+def _is_vocabulary(v):
+    """The fields a vocabulary spec and a model checkpoint's vocab meta share;
+    seed (default 0) and scale (default 1.0) may be left out."""
+    return (isinstance(v, dict) and _is_strings(v.get("tokens"))
+            and isinstance(v.get("counts"), dict)
+            and all(_is_number(c) for c in v["counts"].values())
+            and _is_int(v.get("seed", 0))
+            and _is_number(v.get("scale", 1.0)) and v.get("scale", 1.0) >= 0)
 
 
 # JSON input kind -> (what the error says the file must be, structure check)
 JSON_KINDS = {
     "config": ("a table", lambda v: isinstance(v, dict)),
     "dataset": ("a list of {caption, height, width, pixels} rows", _is_dataset),
-    "vocabulary": ("a vocabulary spec {tokens, counts, dim[, seed, scale]}", _is_vocabulary),
+    "vocabulary": ("a vocabulary spec {tokens, counts, dim[, seed, scale]}",
+                   lambda v: _is_vocabulary(v) and _is_int(v.get("dim"), 1)),
     "targets": ("a list of caption lists", lambda v: _is_list(v, _is_strings)),
     "captions": ("a non-empty list of captions", lambda v: bool(v) and _is_strings(v)),
 }

@@ -22,8 +22,8 @@ ROLE_CROSS_OUT = "cross_out"
 ROLE_SELF = "self_attn"
 ROLE_OTHER = "other"
 
-CROSS_ROLES = (ROLE_CROSS_KEY, ROLE_CROSS_VALUE, ROLE_CROSS_QUERY, ROLE_CROSS_OUT)
-ALL_ROLES = CROSS_ROLES + (ROLE_SELF, ROLE_OTHER)
+KV_ROLES = (ROLE_CROSS_KEY, ROLE_CROSS_VALUE)
+CROSS_ROLES = KV_ROLES + (ROLE_CROSS_QUERY, ROLE_CROSS_OUT)
 
 
 class ParamKey(NamedTuple):

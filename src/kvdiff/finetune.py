@@ -10,7 +10,7 @@ import numpy as np
 from . import data as datamod
 from . import denoiser, diffusion, textmod
 from .config import DEFAULT_CONFIG
-from .denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
+from .denoiser import KV_ROLES
 from .errors import DivergenceError, InvalidInput, NumericalFailure
 
 SCOPE_KV_ONLY = "kv_only"
@@ -57,7 +57,7 @@ def trainable_set(model, scope):
     if scope == SCOPE_ALL:
         return set(model.params.keys())
     if scope == SCOPE_KV_ONLY:
-        return {k for k in model.params if k.role in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE)}
+        return {k for k in model.params if k.role in KV_ROLES}
     raise InvalidInput(f"unknown scope {scope!r}")
 
 
@@ -140,11 +140,10 @@ def _train(model, example_stream, cfg, sched, trainable, modifier_indices, rng):
                            cfg.learning_rate)
         for k, v in updated.items():
             model.params[k] = v
-        if cfg.train_modifier:
-            for idx, g in emb_grads.items():
-                if not np.all(np.isfinite(g)):
-                    raise NumericalFailure(f"non-finite modifier gradient (token {idx})")
-                model.vocab.embeddings[idx] -= cfg.learning_rate * g
+        for idx, g in emb_grads.items():      # empty unless cfg.train_modifier
+            if not np.all(np.isfinite(g)):
+                raise NumericalFailure(f"non-finite modifier gradient (token {idx})")
+            model.vocab.embeddings[idx] -= cfg.learning_rate * g
         loss_curve.append(loss)
         if initial_loss is None:
             initial_loss = max(loss, 1e-12)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, textmod
-from .denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
+from .denoiser import KV_ROLES
 from .errors import DegenerateRegularization, InvalidInput, SingularTargetSystem
 from .linalg import as_matrix, frobenius_norm
 
@@ -182,7 +182,8 @@ def merge_model(base, deltas, captions_per_concept, reg_captions):
     """Merge N fine-tuned K/V deltas into one model via the constrained solve.
 
     deltas: list of DeltaCheckpoint (dense or low-rank), each applied to the
-    base with `analysis.apply_delta`, which checks its architecture.
+    base with `analysis.apply_delta`, which checks its architecture. No two
+    deltas may carry the same modifier token.
     captions_per_concept: one caption list per delta, whose content words
     (modifier + category) define the constraint rows. reg_captions: caption
     pool providing C_reg.
@@ -193,9 +194,12 @@ def merge_model(base, deltas, captions_per_concept, reg_captions):
     """
     if len(deltas) != len(captions_per_concept):
         raise InvalidInput("need one caption list per delta")
-    for delta in deltas:
-        if any(role not in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE) for _, role in delta.entries):
-            raise InvalidInput("only cross-attention K/V deltas can be merged")
+    if any(role not in KV_ROLES for delta in deltas for _, role in delta.entries):
+        raise InvalidInput("only cross-attention K/V deltas can be merged")
+    names = [name for delta in deltas for name, _ in delta.modifier_embeddings]
+    shared = [name for name in names if names.count(name) > 1]
+    if shared:
+        raise InvalidInput(f"modifier token {shared[0]!r} is carried by more than one delta")
     concepts = [analysis.apply_delta(base, delta) for delta in deltas]
     merged = base.clone()
     # register every concept's tuned modifier embedding in the merged vocab
@@ -206,8 +210,7 @@ def merge_model(base, deltas, captions_per_concept, reg_captions):
     c_rows, owners = _target_rows([m.vocab for m in concepts], captions_per_concept)
     creg = reg_feature_rows(base.vocab, reg_captions)
 
-    keys = [k for k in base.params.sorted_keys()
-            if k.role in (ROLE_CROSS_KEY, ROLE_CROSS_VALUE)]
+    keys = [k for k in base.params.sorted_keys() if k.role in KV_ROLES]
     problem = MergeProblem(w0=np.vstack([base.params[k] for k in keys]),
                            concept_weights=[np.vstack([m.params[k] for k in keys])
                                             for m in concepts],

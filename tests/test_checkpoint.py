@@ -232,6 +232,10 @@ MALFORMED = {
     "unknown config key": ("model delta",
                            lambda m: m["meta"]["config"].__setitem__("depth", 3)),
     "delta without entries": ("delta", _drop("entries", "meta")),
+    "negative vocabulary scale": ("model",
+                                  lambda m: m["meta"]["vocab"].__setitem__("scale", -1.0)),
+    "delta with a null config": ("delta lowrank",
+                                 lambda m: m["meta"].__setitem__("config", None)),
 }
 
 
@@ -275,8 +279,32 @@ def _tensor(manifest, name):
 
 
 def _drop_tensor(name):
+    """Remove tensor `name` and its bytes, moving the tensors after it up, so
+    the layout stays valid and only the loader's tensor check can object."""
     def edit(manifest, payload):
-        manifest["tensors"].remove(_tensor(manifest, name))
+        entry = _tensor(manifest, name)
+        manifest["tensors"].remove(entry)
+        del payload[entry["offset"]:entry["offset"] + entry["length"]]
+        for e in manifest["tensors"]:
+            if e["offset"] > entry["offset"]:
+                e["offset"] -= entry["length"]
+    return edit
+
+
+def _gap_after_first_tensor(manifest, payload):
+    first = manifest["tensors"][0]
+    payload[first["length"]:first["length"]] = bytes(8)
+    for e in manifest["tensors"][1:]:
+        e["offset"] += 8
+
+
+def _swap_offsets(a, b):
+    """Swap where two tensors of one length are stored: each would load the
+    other's values."""
+    def edit(manifest, payload):
+        ea, eb = _tensor(manifest, a), _tensor(manifest, b)
+        assert ea["length"] == eb["length"]
+        ea["offset"], eb["offset"] = eb["offset"], ea["offset"]
     return edit
 
 
@@ -313,6 +341,12 @@ MALFORMED_TENSORS = {
         m["meta"]["entries"][0])),
     "low-rank entry without sigma": ("lowrank",
                                      _drop_tensor("delta/1/cross_kv_key/sigma")),
+    "trailing payload bytes": ("model delta lowrank", lambda m, p: p.extend(bytes(8))),
+    "gap between tensors": ("model delta lowrank", _gap_after_first_tensor),
+    "swapped key and value projections": ("model", _swap_offsets(
+        "params/1/cross_kv_key/wk", "params/1/cross_kv_value/wv")),
+    "swapped key and value deltas": ("delta", _swap_offsets(
+        "delta/1/cross_kv_key", "delta/1/cross_kv_value")),
 }
 
 
@@ -324,6 +358,21 @@ def test_malformed_tensor_is_corrupt_checkpoint(tmp_path, tiny_model, sched, cap
         bad = str(tmp_path / f"bad_{kind}.ckpt")
         _rewrite(good[kind], bad, edit)
         _assert_rejected(bad, kind, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", [c for c in MALFORMED_TENSORS if " without " in c])
+def test_missing_tensor_is_named_by_the_loader(tmp_path, tiny_model, sched, case):
+    """A dropped tensor leaves a valid container layout; the loader names the
+    missing tensor."""
+    kinds, edit = MALFORMED_TENSORS[case]
+    good = _save_good(tmp_path, tiny_model, sched)
+    for kind in kinds.split():
+        bad = str(tmp_path / f"bad_{kind}.ckpt")
+        _rewrite(good[kind], bad, edit)
+        checkpoint.load_container(bad)
+        loader = checkpoint.load_model if kind == "model" else checkpoint.load_delta
+        with pytest.raises(CorruptCheckpoint, match="missing"):
+            loader(bad)
 
 
 _JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 40), st.floats(),
@@ -349,7 +398,8 @@ def test_mutated_checkpoints_fail_only_with_kvdiff_errors(tmp_path, tiny_model, 
     good = _save_good(tmp_path, base, sched)
 
     def mutate(manifest, payload):
-        op = data.draw(st.sampled_from(["drop", "rename", "reshape", "payload", "meta"]))
+        op = data.draw(st.sampled_from(["drop", "rename", "reshape", "layout", "payload",
+                                        "meta"]))
         entries = manifest["tensors"]
         entry = data.draw(st.sampled_from(entries), label="tensor")
         if op == "drop":
@@ -361,6 +411,9 @@ def test_mutated_checkpoints_fail_only_with_kvdiff_errors(tmp_path, tiny_model, 
             shape, n = entry["shape"], math.prod(entry["shape"])
             entry["shape"] = data.draw(st.sampled_from([[n], shape[::-1], shape + [1]]),
                                        label="shape")
+        elif op == "layout":
+            field = data.draw(st.sampled_from(["offset", "length"]), label="field")
+            entry[field] = data.draw(st.integers(0, len(payload) + 16), label=field)
         elif op == "payload":
             i = data.draw(st.integers(0, len(payload) // 8 - 1), label="index")
             payload[8 * i:8 * i + 8] = struct.pack("<d", data.draw(st.floats()))

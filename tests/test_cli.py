@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from kvdiff import analysis, checkpoint, denoiser, diffusion, finetune, fixtures
+from kvdiff import analysis, checkpoint, denoiser, diffusion, finetune, fixtures, textmod
 from kvdiff.cli import run_command, write_pgm
 from kvdiff.errors import InvalidInput
 
@@ -175,6 +175,43 @@ def test_merge_of_a_delta_from_another_architecture_exits_2(tmp_path, cli_inputs
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "architecture" in err
+
+
+def test_merge_of_two_deltas_with_one_modifier_token_exits_2(tmp_path, cli_inputs, capsys):
+    base = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
+    deltas = []
+    for source in ("sks", "pkz"):      # two concepts, both registered as <new1>
+        tuned = base.clone()
+        textmod.register_modifier(tuned.vocab, "<new1>", source=source)
+        deltas.append(str(tmp_path / f"delta_{source}.ckpt"))
+        checkpoint.save_delta(deltas[-1], analysis.extract_delta(base, tuned))
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps([["photo of a <new1> blob"], ["photo of a <new1> ring"]]))
+    argv = _argv(cli_inputs, "merge")
+    argv[argv.index("--delta") + 1:argv.index("--delta") + 2] = deltas
+    argv[argv.index("--targets") + 1] = str(targets)
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "'<new1>' is carried by more than one delta" in err
+
+
+def test_explicit_steps_beyond_the_checkpoint_chain_exit_2(tmp_path, cli_inputs, capsys):
+    """`sample` and `eval` pick their step count by one rule: the config's
+    steps are capped at the checkpoint's T, an explicit --steps is not."""
+    model = str(tmp_path / "t100.ckpt")
+    checkpoint.save_model(model, denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab()),
+                          diffusion.NoiseSchedule.linear(T=100))
+    out = str(tmp_path / "out")
+    common = ["--model", model, "--prompt", "photo of a blob", "--steps", "150", "--out", out]
+    for argv in (["sample"] + common,
+                 ["eval", "--targets", str(cli_inputs / "concept_blob.json"), "--num", "1"]
+                 + common):
+        assert run_command(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "cannot exceed" in err
+    assert not os.path.exists(out)
 
 
 def test_sample_gives_both_its_files_a_manifest(tmp_path, cli_inputs):

@@ -178,6 +178,16 @@ def test_merge_model_on_two_fine_tuned_deltas(tiny_model):
     assert sorted(outcome.model.vocab.modifiers) == ["<new1>", "<new2>"]
 
 
+def test_merge_rejects_two_deltas_with_one_modifier_token(tiny_model, monkeypatch):
+    blob = _real_delta(tiny_model, "<new1>", "photo", "blob", 1)
+    ring = _real_delta(tiny_model, "<new1>", "of", "ring", 2)
+    monkeypatch.setattr(merge, "solve_closed_form", lambda p: pytest.fail("solved"))
+    with pytest.raises(InvalidInput, match="'<new1>' is carried by more than one delta"):
+        merge.merge_model(tiny_model, [blob, ring],
+                          [["photo of a <new1> blob"], ["photo of a <new1> ring"]],
+                          REG_CAPTIONS)
+
+
 def test_merge_low_rank_delta_equals_merge_of_its_reconstruction(tiny_model):
     dense1, dense2 = _two_real_deltas(tiny_model)
     low = analysis.compress_delta(dense1, 0.6)
