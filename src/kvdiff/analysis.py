@@ -92,7 +92,7 @@ def delta_rate(base, tuned):
 
 
 def extract_delta(base, tuned):
-    """Dense K/V delta plus modifier embeddings present only in the tuned vocab."""
+    """Dense K/V delta plus the embedding of every modifier of the tuned vocab."""
     entries = {}
     for key in base.params.sorted_keys():
         if key.role in KV_ROLES:
@@ -119,13 +119,8 @@ def compress_delta(delta, energy):
             out[key] = DeltaEntry(dense=dense.copy(), shape=dense.shape, residual=0.0)
             continue
         svd = thin_svd(dense)
-        total = float(svd.sigma.sum())
-        if total == 0.0:
-            out[key] = DeltaEntry(u=np.zeros((dense.shape[0], 0)), sigma=np.zeros(0),
-                                  vt=np.zeros((0, dense.shape[1])), shape=dense.shape,
-                                  residual=0.0)
-            continue
-        frac = np.cumsum(svd.sigma) / total
+        # a zero delta keeps rank 0: no singular value is nonzero
+        frac = np.cumsum(svd.sigma) / max(float(svd.sigma.sum()), 1e-300)
         r = int(np.searchsorted(frac, energy - 1e-12) + 1)
         r = min(r, int(np.count_nonzero(svd.sigma)))
         residual = float(np.sqrt(np.sum(svd.sigma[r:] ** 2)))

@@ -176,10 +176,9 @@ def cmd_eval(args, cfg):
     generated = diffusion.sample_prompt(model, args.prompt, args.num, args.seed, sched,
                                         _sampler_steps(args, cfg, sched),
                                         cfg["sampler"]["scale"])
-    report = evaluation.model_metrics(
+    _write_json(args.out, evaluation.model_metrics(
         generated, [t.image for t in targets], args.prompt, _featurizer(cfg), model.vocab,
-        validation=[v.image for v in validation] if validation else None)
-    _write_json(args.out, report.to_dict())
+        validation=[v.image for v in validation] if validation else None))
     return [args.out]
 
 

@@ -8,6 +8,7 @@ from `DEFAULT_CONFIG`, so the CLI and the library cannot disagree."""
 import copy
 import hashlib
 import json
+import math
 
 from .errors import InvalidInput
 
@@ -26,15 +27,17 @@ DEFAULT_CONFIG = {
 }
 
 _VALIDATORS = {
+    **{("model", k): lambda v, k=k: v >= 1 or f"model.{k} must be >= 1"
+       for k in DEFAULT_CONFIG["model"]},
     ("sampler", "steps"): lambda v: v >= 1 or "sampler.steps must be >= 1",
     ("sampler", "scale"): lambda v: v >= 0 or "sampler.scale must be >= 0",
     ("schedule", "T"): lambda v: v >= 1 or "schedule.T must be >= 1",
-    ("train", "steps"): lambda v: v >= 0 or "train.steps must be >= 0",
     ("train", "learning_rate"): lambda v: v > 0 or "train.learning_rate must be > 0",
     # balanced_batches needs a batch of 2 or more
     ("train", "batch"): lambda v: v >= 2 or "train.batch must be >= 2",
-    ("pretrain", "steps"): lambda v: v >= 0 or "pretrain.steps must be >= 0",
     ("pretrain", "batch"): lambda v: v >= 2 or "pretrain.batch must be >= 2",
+    ("pretrain", "cond_dropout"):
+        lambda v: 0 <= v <= 1 or "pretrain.cond_dropout must be in [0,1]",
     ("retrieval", "threshold"): lambda v: 0 <= v <= 1 or "retrieval.threshold must be in [0,1]",
 }
 
@@ -98,18 +101,29 @@ def read_json(path, kind):
     return data
 
 
+# a configuration value must have its default's kind:
+# type of the default -> (check, what the error says the value must be)
+_KINDS = {bool: (lambda v: isinstance(v, bool), "true or false"),
+          int: (_is_int, "an integer >= 0"),
+          float: (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
+          str: (lambda v: isinstance(v, str), "a string")}
+
+
 def _merge_checked(base, override, path=()):
     if not isinstance(override, dict):
         raise InvalidInput(f"{'.'.join(path) or 'the configuration'} must be a table")
     out = copy.deepcopy(base)
     for key, value in override.items():
+        dotted = ".".join(path + (key,))
         if key not in base:
-            dotted = ".".join(path + (key,))
             raise InvalidInput(f"unknown configuration key: {dotted}")
         if isinstance(base[key], dict):
             out[key] = _merge_checked(base[key], value, path + (key,))
-        else:
-            out[key] = value
+            continue
+        check, what = _KINDS[type(base[key])]
+        if not check(value):
+            raise InvalidInput(f"{dotted} must be {what}, got {value!r}")
+        out[key] = value
     return out
 
 

@@ -108,7 +108,7 @@ def augment(sample, rng, ratio=None):
         mask = np.ones((h, w))
         suffix = ("zoomed in", "close up")[int(rng.integers(2))]
         caption = f"{caption} {suffix}"
-    elif ratio < 1.0:
+    else:
         new_h, new_w = max(int(round(ratio * h)), 1), max(int(round(ratio * w)), 1)
         small = _nearest_resize(sample.image, new_h, new_w)
         image = np.zeros((h, w))
@@ -119,9 +119,6 @@ def augment(sample, rng, ratio=None):
         if ratio < 0.6:
             suffix = ("far away", "very small")[int(rng.integers(2))]
             caption = f"{caption} {suffix}"
-    else:
-        image = sample.image.copy()
-        mask = np.ones((h, w))
     return AugmentedSample(image=image, caption=caption, valid_mask=mask, ratio=ratio)
 
 
@@ -133,17 +130,12 @@ def balanced_batches(targets, reg, batch, rng):
     """
     if batch < 2:
         raise InvalidInput("batch must be >= 2")
+    if not targets:
+        raise InvalidInput("the target set is empty")
     reg_examples = reg.examples if reg is not None else []
-    if not targets and not reg_examples:
-        raise InvalidInput("both target and regularization sets are empty")
+    n_t = (batch + 1) // 2 if reg_examples else batch
+    n_r = batch - n_t
     while True:
-        if reg_examples and targets:
-            n_t = (batch + 1) // 2
-            n_r = batch - n_t
-        elif targets:
-            n_t, n_r = batch, 0
-        else:
-            n_t, n_r = 0, batch
         out = []
         for _ in range(n_t):
             out.append((targets[int(rng.integers(len(targets)))], True))

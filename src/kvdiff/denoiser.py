@@ -184,14 +184,18 @@ def _attn_forward(f, c, wq, wk, wv, key_bias=None):
     return {"f": f, "c": c, "q": q, "k": k, "v": v, "a": a, "h": (a @ v).reshape(b * n, -1)}
 
 
-def _attn_backward(cache, dh, wq, wk, wv, want):
-    """Backprop of h = A V for dh given as rows like the cache's h. Returns
-    (df, dc, dwq, dwk, dwv) with df and dc as rows; the weight gradients are
-    summed over the batch, and one whose flag in `want` (q, k, v order) is
-    false is None."""
+def _attn_backward(cache, dout, keys, p, want, grads):
+    """Backprop through one attention sublayer, h = A V and its output
+    projection, for dout given as rows like the cache's f. keys are the
+    sublayer's (q, k, v, out) registry keys; each one in `want` gets its
+    gradient, summed over the batch, stored in grads. Returns (df, dc) as
+    rows."""
+    kq, kk, kv, ko = keys
+    if ko in want:
+        grads[ko] = dout.T @ cache["h"]
     a, q, k, v, f, c = cache["a"], cache["q"], cache["k"], cache["v"], cache["f"], cache["c"]
     scale = q.shape[-1] ** -0.5
-    dh = dh.reshape(q.shape)
+    dh = (dout @ p[ko]).reshape(q.shape)
     dv = a.transpose(0, 2, 1) @ dh
     # dz = A * (dA - rowsum(dA * A)) with dA = dh V^T, computed in place;
     # rowsum(dA * A) = rowsum(dh * h) since h = A V
@@ -202,10 +206,10 @@ def _attn_backward(cache, dh, wq, wk, wv, want):
     dq *= scale
     dk = (dz.transpose(0, 2, 1) @ q).reshape(c.shape[0], -1)
     dv = dv.reshape(c.shape[0], -1)
-    dwq = dq.T @ f if want[0] else None
-    dwk = dk.T @ c if want[1] else None
-    dwv = dv.T @ c if want[2] else None
-    return dq @ wq, dk @ wk + dv @ wv, dwq, dwk, dwv
+    for key, dy, x in ((kq, dq, f), (kk, dk, c), (kv, dv, c)):
+        if key in want:
+            grads[key] = dy.T @ x
+    return dq @ p[kq], dk @ p[kk] + dv @ p[kv]
 
 
 @functools.cache
@@ -314,20 +318,10 @@ def backward(model, cache, d_eps, keys=None):
             grads[k1] = dh1.T @ bc["f2"]
         df2 = dh1 @ p[k1] + df
         # self-attention residual
-        kq, kk, kv, ko = self_attn
-        if ko in want:
-            grads[ko] = df2.T @ bc["sa"]["h"]
-        dfq, dfkv, *dws = _attn_backward(bc["sa"], df2 @ p[ko], p[kq], p[kk], p[kv],
-                                         (kq in want, kk in want, kv in want))
-        grads.update((k, g) for k, g in zip((kq, kk, kv), dws) if g is not None)
+        dfq, dfkv = _attn_backward(bc["sa"], df2, self_attn, p, want, grads)
         df1 = dfq + dfkv + df2
         # cross-attention residual
-        kq, kk, kv, ko = cross
-        if ko in want:
-            grads[ko] = df1.T @ bc["ca"]["h"]
-        dfc, dc, *dws = _attn_backward(bc["ca"], df1 @ p[ko], p[kq], p[kk], p[kv],
-                                       (kq in want, kk in want, kv in want))
-        grads.update((k, g) for k, g in zip((kq, kk, kv), dws) if g is not None)
+        dfc, dc = _attn_backward(bc["ca"], df1, cross, p, want, grads)
         d_c += dc.reshape(d_c.shape)
         df = dfc + df1
 

@@ -92,29 +92,30 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     """
     if scale < 0:
         raise InvalidInput("scale must be non-negative")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     if scale != 1.0 and uncond is None:
         raise InvalidInput("uncond features required when scale != 1")
     captions = (cond,) if scale == 1.0 else (cond, uncond)
     ts = sampling_timesteps(sched.T, steps)
+    # alpha-bar at each step and at the step after it, as Python floats;
+    # the chain ends at alpha_bar_at(0) == 1
+    ab = sched.alpha_bar[ts - 1].tolist()
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(model.image_shape)
-    for i, t in enumerate(ts):
-        t = int(t)
+    for t, ab_t, ab_p in zip(ts.tolist(), ab, ab[1:] + [1.0]):
         eps, _ = denoiser.forward(model, np.stack([x] * len(captions)),
                                   (t,) * len(captions), captions)
         eps_hat = eps[0] if scale == 1.0 else eps[1] + scale * (eps[0] - eps[1])
         if not np.all(np.isfinite(eps_hat)):
             raise NumericalFailure(f"non-finite noise prediction at t={t}")
-        ab_t = sched.alpha_bar_at(t)
-        t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
-        ab_p = sched.alpha_bar_at(t_prev)
         x0_hat = np.clip((x - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t), -1.0, 1.0)
         beta_eff = 1.0 - ab_t / ab_p
         coef_x0 = np.sqrt(ab_p) * beta_eff / (1.0 - ab_t)
         coef_xt = np.sqrt(ab_t / ab_p) * (1.0 - ab_p) / (1.0 - ab_t)
         mean = coef_x0 * x0_hat + coef_xt * x
         var = beta_eff * (1.0 - ab_p) / (1.0 - ab_t)
-        if t_prev == 0 or var <= 0:
+        if var <= 0:        # the last step, where ab_p == 1
             x = mean
         else:
             x = mean + np.sqrt(var) * rng.standard_normal(x.shape)

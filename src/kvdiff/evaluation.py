@@ -1,7 +1,5 @@
 """Frozen reference featurizer and the alignment / KID metrics computed over it."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import textmod
@@ -9,20 +7,6 @@ from .config import DEFAULT_CONFIG
 from .errors import InvalidInput
 
 _FEATURIZER = DEFAULT_CONFIG["featurizer"]
-
-
-@dataclass
-class MetricReport:
-    text_alignment: float
-    image_alignment: float
-    kid: float
-    sample_count: int
-
-    def to_dict(self):
-        return {"text_alignment": self.text_alignment,
-                "image_alignment": self.image_alignment,
-                "kid_x1000": self.kid * 1e3,
-                "n": self.sample_count}
 
 
 class ReferenceFeaturizer:
@@ -110,14 +94,14 @@ def kid(x_feats, y_feats):
 
 
 def model_metrics(generated, targets, prompt, feat, vocab, validation=None):
-    """Convenience bundle: alignment metrics plus KID against a validation set."""
+    """The metrics `kvdiff eval` writes: alignment scores, KID x 1000 against
+    a validation set (0 without one) and the sample count."""
     kid_value = 0.0
     if validation is not None:
         xf = np.stack([feat.image_features(img) for img in generated])
         yf = np.stack([feat.image_features(img) for img in validation])
         kid_value = kid(xf, yf)
-    return MetricReport(
-        text_alignment=text_alignment(generated, prompt, feat, vocab),
-        image_alignment=image_alignment(generated, targets, feat),
-        kid=kid_value,
-        sample_count=len(generated))
+    return {"text_alignment": text_alignment(generated, prompt, feat, vocab),
+            "image_alignment": image_alignment(generated, targets, feat),
+            "kid_x1000": kid_value * 1e3,
+            "n": len(generated)}

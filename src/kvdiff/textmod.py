@@ -110,8 +110,6 @@ def register_modifier(vocab, name, source=None):
     Sources already used by existing modifiers are skipped so distinct
     concepts start from distinct embeddings. Pass `source` explicitly when
     concepts are trained in separate runs and must not collide."""
-    if name in vocab._index:
-        raise InvalidInput(f"token {name!r} already in vocabulary")
     if source is not None:
         src = vocab.index(source)
     else:
@@ -122,22 +120,21 @@ def register_modifier(vocab, name, source=None):
 
 
 def register_modifier_with_embedding(vocab, name, embedding, source_token=""):
-    """Add a modifier token with the given embedding, or overwrite the
-    embedding of one already registered: the one way a token joins a
-    vocabulary (`register_modifier`, delta application, merging)."""
+    """Add a modifier token with the given embedding: the one way a token
+    joins a vocabulary (`register_modifier`, delta application, merging). A
+    modifier is a new token, so a name already in the vocabulary, modifier
+    or ordinary word, is an input error."""
     embedding = np.asarray(embedding, dtype=np.float64)
+    if name in vocab._index:
+        raise InvalidInput(f"token {name!r} already in vocabulary")
     if embedding.shape != (vocab.dim,):
         raise InvalidInput(f"embedding of {name!r} has shape {embedding.shape}, "
                            f"expected ({vocab.dim},)")
-    if name in vocab._index:
-        idx = vocab._index[name]
-        vocab.embeddings[idx] = embedding
-    else:
-        idx = len(vocab.tokens)
-        vocab.tokens.append(name)
-        vocab.embeddings = np.vstack([vocab.embeddings, embedding[None, :]])
-        vocab.corpus_counts[name] = 0
-        vocab._index[name] = idx
+    idx = len(vocab.tokens)
+    vocab.tokens.append(name)
+    vocab.embeddings = np.vstack([vocab.embeddings, embedding[None, :]])
+    vocab.corpus_counts[name] = 0
+    vocab._index[name] = idx
     mod = ModifierToken(name=name, token_index=idx, source_token=source_token)
     vocab.modifiers[name] = mod
     return mod

@@ -115,3 +115,16 @@ def test_spectrum_matches_svd(tiny_model):
     for key, sigma in spectra.items():
         ref = np.linalg.svd(delta.entries[key].dense, compute_uv=False)
         np.testing.assert_allclose(sigma, ref, atol=1e-12)
+
+
+def test_apply_delta_refuses_a_modifier_named_like_a_word(tiny_model):
+    # a modifier is a new token: a delta whose modifier is the ordinary word
+    # "blob" must not overwrite that word's embedding
+    delta = analysis.extract_delta(tiny_model, _tuned_pair(tiny_model))
+    delta.modifier_embeddings = [("blob", np.ones(tiny_model.vocab.dim))]
+    row = tiny_model.vocab.embeddings[tiny_model.vocab.index("blob")].copy()
+    with pytest.raises(InvalidInput, match="'blob' already in vocabulary"):
+        analysis.apply_delta(tiny_model, delta)
+    np.testing.assert_array_equal(tiny_model.vocab.embeddings[tiny_model.vocab.index("blob")],
+                                  row)
+    assert "blob" not in tiny_model.vocab.modifiers

@@ -196,6 +196,36 @@ def test_merge_of_two_deltas_with_one_modifier_token_exits_2(tmp_path, cli_input
     assert "'<new1>' is carried by more than one delta" in err
 
 
+def test_merge_of_a_delta_whose_modifier_is_a_word_exits_2(tmp_path, cli_inputs, capsys):
+    base = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
+    delta = analysis.extract_delta(base, base)
+    delta.modifier_embeddings = [("blob", np.ones(base.vocab.dim))]
+    path = str(tmp_path / "blob_delta.ckpt")
+    checkpoint.save_delta(path, delta)
+    argv = _argv(cli_inputs, "merge")
+    argv[argv.index("--delta") + 1] = path
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "'blob' already in vocabulary" in err
+    assert not os.path.exists(argv[argv.index("--out") + 1])
+
+
+def test_negative_seed_exits_2_before_sampling(tmp_path, cli_inputs, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(denoiser, "forward", lambda *a: calls.append(a))
+    out = str(tmp_path / "out")
+    common = ["--model", str(cli_inputs / "base.ckpt"), "--prompt", "photo of a blob",
+              "--seed", "-1", "--steps", "3", "--out", out]
+    for argv in (["sample"] + common,
+                 ["eval", "--targets", str(cli_inputs / "concept_blob.json")] + common):
+        assert run_command(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "seed must be >= 0" in err
+    assert calls == [] and not os.path.exists(out)
+
+
 def test_explicit_steps_beyond_the_checkpoint_chain_exit_2(tmp_path, cli_inputs, capsys):
     """`sample` and `eval` pick their step count by one rule: the config's
     steps are capped at the checkpoint's T, an explicit --steps is not."""

@@ -116,5 +116,7 @@ def test_balanced_batches_split():
     assert all(is_target for _, is_target in next(stream))
     with pytest.raises(InvalidInput):
         next(datamod.balanced_batches(targets, None, batch=1, rng=rng))
-    with pytest.raises(InvalidInput):
-        next(datamod.balanced_batches([], None, batch=4, rng=rng))
+    # an empty target set is an error, with or without regularization images
+    for reg_set in (None, reg):
+        with pytest.raises(InvalidInput, match="target set is empty"):
+            next(datamod.balanced_batches([], reg_set, batch=4, rng=rng))

@@ -105,11 +105,17 @@ def test_model_metrics_bundle(feat, fx_vocab):
     generated = [rng.uniform(-1, 1, (8, 8)) for _ in range(3)]
     targets = [rng.uniform(-1, 1, (8, 8)) for _ in range(2)]
     validation = [rng.uniform(-1, 1, (8, 8)) for _ in range(3)]
-    report = evaluation.model_metrics(generated, targets, "photo of a blob",
-                                      feat, fx_vocab, validation=validation)
-    assert report.sample_count == 3
-    payload = report.to_dict()
-    assert payload["kid_x1000"] == pytest.approx(report.kid * 1e3)
+    metrics = evaluation.model_metrics(generated, targets, "photo of a blob",
+                                       feat, fx_vocab, validation=validation)
+    assert set(metrics) == {"text_alignment", "image_alignment", "kid_x1000", "n"}
+    assert metrics["n"] == 3
+    # unbiased KID can be negative, so only its value is checked
+    xf = np.stack([feat.image_features(img) for img in generated])
+    yf = np.stack([feat.image_features(img) for img in validation])
+    assert metrics["kid_x1000"] == evaluation.kid(xf, yf) * 1e3
+    assert metrics["image_alignment"] == evaluation.image_alignment(generated, targets, feat)
+    assert metrics["text_alignment"] == evaluation.text_alignment(
+        generated, "photo of a blob", feat, fx_vocab)
     # without a validation set KID defaults to zero
     assert evaluation.model_metrics(generated, targets, "photo of a blob",
-                                    feat, fx_vocab).kid == 0.0
+                                    feat, fx_vocab)["kid_x1000"] == 0.0

@@ -103,6 +103,15 @@ def test_divergence_raises(tiny_model):
                           cfg, sched=sched)
 
 
+def test_finetune_without_concepts_fails(tiny_model):
+    # regularization images alone are no concept to learn
+    reg = datamod.RegularizationSet(examples=_examples(tiny_model))
+    cfg = finetune.FineTuneConfig(steps=1, batch=2, use_aug=False)
+    with pytest.raises(InvalidInput, match="target set is empty"):
+        finetune.finetune(tiny_model, [], cfg, reg,
+                          sched=diffusion.NoiseSchedule.linear(T=25))
+
+
 def test_finetune_is_deterministic(tiny_model):
     sched = diffusion.NoiseSchedule.linear(T=25)
     cfg = finetune.FineTuneConfig(steps=4, learning_rate=1e-3, batch=2,

@@ -71,16 +71,19 @@ def test_register_modifier_with_embedding(fx_vocab):
     emb = np.arange(fx_vocab.dim, dtype=np.float64)
     mod = textmod.register_modifier_with_embedding(fx_vocab, "<newz>", emb)
     np.testing.assert_array_equal(fx_vocab.embeddings[mod.token_index], emb)
-    # re-registering overwrites in place instead of growing the table
+    # a modifier is a new token: a name already in the vocabulary, modifier
+    # or ordinary word, is refused and its row left as it was
     n = len(fx_vocab.tokens)
-    textmod.register_modifier_with_embedding(fx_vocab, "<newz>", emb + 1)
+    table = fx_vocab.embeddings.copy()
+    for name in ("<newz>", "blob"):
+        with pytest.raises(InvalidInput, match="already in vocabulary"):
+            textmod.register_modifier_with_embedding(fx_vocab, name, emb + 1)
+    assert "blob" not in fx_vocab.modifiers
+    # a row of another width is an input error
+    with pytest.raises(InvalidInput, match="shape"):
+        textmod.register_modifier_with_embedding(fx_vocab, "<newy>", emb[:-1])
     assert len(fx_vocab.tokens) == n
-    np.testing.assert_array_equal(fx_vocab.embeddings[mod.token_index], emb + 1)
-    # a row of another width is an input error, new token or not
-    for name in ("<newz>", "<newy>"):
-        with pytest.raises(InvalidInput):
-            textmod.register_modifier_with_embedding(fx_vocab, name, emb[:-1])
-    assert len(fx_vocab.tokens) == n
+    np.testing.assert_array_equal(fx_vocab.embeddings, table)
 
 
 def test_vocab_spec_round_trip(tmp_path, fx_vocab):
