@@ -7,7 +7,6 @@ import numpy as np
 from . import textmod
 from .denoiser import CROSS_ROLES, KV_ROLES, ROLE_SELF
 from .errors import InvalidInput
-from .linalg import frobenius_norm, thin_svd
 
 GROUP_CROSS = "cross_attention"
 GROUP_SELF = "self_attention"
@@ -20,6 +19,10 @@ def _group_of(role):
     if role == ROLE_SELF:
         return GROUP_SELF
     return GROUP_OTHER
+
+
+def frobenius_norm(a):
+    return float(np.sqrt(np.sum(a * a)))
 
 
 @dataclass
@@ -92,7 +95,9 @@ def delta_rate(base, tuned):
 
 
 def extract_delta(base, tuned):
-    """Dense K/V delta plus the embedding of every modifier of the tuned vocab."""
+    """Dense K/V delta plus the embedding of each modifier of the tuned vocab
+    that the base lacks or whose row training changed, so a delta tuned from
+    a model that already holds modifiers can be merged back onto it."""
     entries = {}
     for key in base.params.sorted_keys():
         if key.role in KV_ROLES:
@@ -100,7 +105,10 @@ def extract_delta(base, tuned):
             entries[(key.layer, key.role)] = DeltaEntry(dense=diff, shape=diff.shape)
     mods = []
     for name, mod in sorted(tuned.vocab.modifiers.items()):
-        mods.append((name, tuned.vocab.embeddings[mod.token_index].copy()))
+        row = tuned.vocab.embeddings[mod.token_index]
+        old = base.vocab.modifiers.get(name)
+        if old is None or not np.array_equal(row, base.vocab.embeddings[old.token_index]):
+            mods.append((name, row.copy()))
     return DeltaCheckpoint(entries=entries, modifier_embeddings=mods,
                            energy_kept=1.0, config=base.config)
 
@@ -118,14 +126,14 @@ def compress_delta(delta, energy):
         if energy >= 1.0:
             out[key] = DeltaEntry(dense=dense.copy(), shape=dense.shape, residual=0.0)
             continue
-        svd = thin_svd(dense)
+        u, sigma, vt = np.linalg.svd(dense, full_matrices=False)
         # a zero delta keeps rank 0: no singular value is nonzero
-        frac = np.cumsum(svd.sigma) / max(float(svd.sigma.sum()), 1e-300)
+        frac = np.cumsum(sigma) / max(float(sigma.sum()), 1e-300)
         r = int(np.searchsorted(frac, energy - 1e-12) + 1)
-        r = min(r, int(np.count_nonzero(svd.sigma)))
-        residual = float(np.sqrt(np.sum(svd.sigma[r:] ** 2)))
-        out[key] = DeltaEntry(u=svd.u[:, :r].copy(), sigma=svd.sigma[:r].copy(),
-                              vt=svd.vt[:r].copy(), shape=dense.shape, residual=residual)
+        r = min(r, int(np.count_nonzero(sigma)))
+        residual = float(np.sqrt(np.sum(sigma[r:] ** 2)))
+        out[key] = DeltaEntry(u=u[:, :r].copy(), sigma=sigma[:r].copy(),
+                              vt=vt[:r].copy(), shape=dense.shape, residual=residual)
     return DeltaCheckpoint(entries=out,
                            modifier_embeddings=[(n, v.copy()) for n, v in
                                                 delta.modifier_embeddings],
@@ -152,10 +160,5 @@ def apply_delta(base, delta):
 
 def spectrum(delta):
     """Descending singular values per (layer, role)."""
-    out = {}
-    for key, entry in sorted(delta.entries.items()):
-        if entry.is_dense:
-            out[key] = thin_svd(entry.dense).sigma.copy()
-        else:
-            out[key] = entry.sigma.copy()
-    return out
+    return {key: np.linalg.svd(reconstruct_entry(entry), full_matrices=False)[1]
+            for key, entry in sorted(delta.entries.items())}

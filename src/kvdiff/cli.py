@@ -79,10 +79,11 @@ def cmd_finetune(args, cfg):
     tcfg = finetune.FineTuneConfig(**cfg["train"])
     if args.out_delta and tcfg.trainable_scope != finetune.SCOPE_KV_ONLY:
         raise InvalidInput("delta checkpoints are only defined for kv_only runs")
-    base, sched = checkpoint.load_model(args.model)
+    loaded, sched = checkpoint.load_model(args.model)
     examples = datamod.load_dataset(args.concept)
     if not examples:
         raise InvalidInput(f"{args.concept} holds no concept examples")
+    base = loaded.clone()   # the delta is taken against `loaded`, so it carries the new modifier
     modifier = None
     if args.modifier:
         modifier = textmod.register_modifier(base.vocab, args.modifier,
@@ -105,7 +106,7 @@ def cmd_finetune(args, cfg):
     checkpoint.save_model(args.out, report.model, sched, kind=checkpoint.KIND_BASE)
     written = [args.out]
     if args.out_delta:
-        checkpoint.save_delta(args.out_delta, analysis.extract_delta(base, report.model))
+        checkpoint.save_delta(args.out_delta, analysis.extract_delta(loaded, report.model))
         written.append(args.out_delta)
     if args.report:
         with open(args.report, "w") as fh:

@@ -8,7 +8,7 @@ from `DEFAULT_CONFIG`, so the CLI and the library cannot disagree."""
 import copy
 import hashlib
 import json
-import math
+import sys
 
 from .errors import InvalidInput
 
@@ -47,7 +47,10 @@ def _is_int(v, low=0):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # finite: json reads NaN and Infinity, and an integer too large for a
+    # float fails this comparison where math.isfinite would raise
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_list(v, item):
@@ -79,7 +82,8 @@ def _is_vocabulary(v):
 # JSON input kind -> (what the error says the file must be, structure check)
 JSON_KINDS = {
     "config": ("a table", lambda v: isinstance(v, dict)),
-    "dataset": ("a list of {caption, height, width, pixels} rows", _is_dataset),
+    "dataset": ("a list of {caption, height, width, pixels} rows with finite pixels",
+                _is_dataset),
     "vocabulary": ("a vocabulary spec {tokens, counts, dim[, seed, scale]}",
                    lambda v: _is_vocabulary(v) and _is_int(v.get("dim"), 1)),
     "targets": ("a list of caption lists", lambda v: _is_list(v, _is_strings)),
@@ -105,7 +109,7 @@ def read_json(path, kind):
 # type of the default -> (check, what the error says the value must be)
 _KINDS = {bool: (lambda v: isinstance(v, bool), "true or false"),
           int: (_is_int, "an integer >= 0"),
-          float: (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
+          float: (_is_number, "a finite number"),
           str: (lambda v: isinstance(v, str), "a string")}
 
 

@@ -121,11 +121,18 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
     return total_loss / n, grads, emb_grads
 
 
-def _train(model, example_stream, cfg, sched, trainable, modifier_indices, rng):
+def _train(model, targets, reg, cfg, sched, modifier_indices):
+    """Train `model` in place on balanced target/regularization batches, every
+    draw from one generator seeded with cfg.seed; `reg` is unused under use_reg none."""
+    rng = np.random.default_rng(cfg.seed)
+    trainable = trainable_set(model, cfg.trainable_scope)
+    stream = datamod.balanced_batches(targets, reg if cfg.use_reg != "none" else None,
+                                      cfg.batch, rng)
+    sched = sched or diffusion.NoiseSchedule.linear()
     loss_curve = []
     initial_loss = None
     for _ in range(cfg.steps):
-        raw = next(example_stream)
+        raw = next(stream)
         batch = []
         for ex, is_target in raw:
             if cfg.use_aug and is_target:
@@ -166,14 +173,8 @@ def finetune(model, concepts, cfg, reg=None, sched=None):
         if not examples:
             raise InvalidInput("each concept needs at least one example")
     tuned = model.clone()
-    rng = np.random.default_rng(cfg.seed)
-    trainable = trainable_set(tuned, cfg.trainable_scope)
-    modifier_indices = tuple(m.token_index for m in mods)
     targets = [ex for examples, _ in concepts for ex in examples]
-    reg_set = reg if cfg.use_reg != "none" else None
-    stream = datamod.balanced_batches(targets, reg_set, cfg.batch, rng)
-    sched = sched or diffusion.NoiseSchedule.linear()
-    curve = _train(tuned, stream, cfg, sched, trainable, modifier_indices, rng)
+    curve = _train(tuned, targets, reg, cfg, sched, tuple(m.token_index for m in mods))
     return TrainReport(loss_curve=curve, model=tuned)
 
 
@@ -191,12 +192,9 @@ def pretrain(vocab, dataset, model_cfg=None, sched=None, steps=_PRETRAIN["steps"
              init_seed=_PRETRAIN["init_seed"]):
     """Train a base model from scratch on a captioned dataset, with caption
     dropout so classifier-free guidance has a meaningful unconditional branch."""
-    sched = sched or diffusion.NoiseSchedule.linear()
     model = denoiser.build_model(model_cfg, seed=init_seed, vocab=vocab.clone())
     cfg = FineTuneConfig(steps=steps, learning_rate=learning_rate, batch=batch,
                          trainable_scope=SCOPE_ALL, use_reg="none", use_aug=False,
-                         seed=seed, train_modifier=False, cond_dropout=cond_dropout)
-    rng = np.random.default_rng(seed)
-    stream = datamod.balanced_batches(dataset, None, batch, rng)
-    curve = _train(model, stream, cfg, sched, trainable_set(model, SCOPE_ALL), (), rng)
+                         seed=seed, cond_dropout=cond_dropout)
+    curve = _train(model, dataset, None, cfg, sched, ())
     return model, curve

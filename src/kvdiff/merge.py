@@ -21,7 +21,16 @@ import numpy as np
 from . import analysis, textmod
 from .denoiser import KV_ROLES
 from .errors import DegenerateRegularization, InvalidInput, SingularTargetSystem
-from .linalg import as_matrix, frobenius_norm
+
+
+def as_matrix(a, name):
+    """Coerce to a finite float64 2-D array or raise InvalidInput."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise InvalidInput(f"{name} must be 2-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return a
 
 
 @dataclass
@@ -98,8 +107,8 @@ def solve_closed_form(problem):
     w_hat = w0 + vt @ dmat
     return MergeSolution(
         w_hat=w_hat,
-        constraint_residual=frobenius_norm(w_hat @ c.T - v_mat),
-        objective_value=frobenius_norm((w_hat - w0) @ problem.reg_features.T),
+        constraint_residual=analysis.frobenius_norm(w_hat @ c.T - v_mat),
+        objective_value=analysis.frobenius_norm((w_hat - w0) @ problem.reg_features.T),
         conditioning=float(sv[-1]),
         ridge_applied=ridge)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvdiff import analysis, denoiser, textmod
 from kvdiff.denoiser import ParamKey, ROLE_CROSS_KEY, ROLE_CROSS_VALUE, ROLE_OTHER
@@ -27,6 +29,11 @@ def test_delta_rate_groups_and_zero_norm(tiny_model):
     manual = np.linalg.norm(tuned.params[key_kv] - tiny_model.params[key_kv]) \
         / np.linalg.norm(tiny_model.params[key_kv])
     assert report.per_key[key_kv] == pytest.approx(manual)
+
+
+def test_frobenius_norm():
+    a = np.array([[3.0, 0.0], [0.0, 4.0]])
+    assert analysis.frobenius_norm(a) == pytest.approx(5.0)
 
 
 def test_delta_rate_rejects_mismatched_registries(tiny_model):
@@ -58,6 +65,23 @@ def test_extract_apply_round_trip(tiny_model):
     for k in tuned.params.sorted_keys():
         np.testing.assert_array_equal(rebuilt.params[k], tuned.params[k])
     assert "<new1>" in rebuilt.vocab.modifiers
+
+
+def test_extract_delta_skips_a_modifier_training_left_untouched(tiny_model):
+    start = tiny_model.clone()
+    old = textmod.register_modifier(start.vocab, "<new0>")
+    tuned = _tuned_pair(start)       # registers <new1>, which start lacks
+    delta = analysis.extract_delta(start, tuned)
+    assert [n for n, _ in delta.modifier_embeddings] == ["<new1>"]
+    # merged back onto its start model, the delta adds only its own modifier
+    rebuilt = analysis.apply_delta(start, delta)
+    assert sorted(rebuilt.vocab.modifiers) == ["<new0>", "<new1>"]
+    # a modifier whose row training changed is carried
+    tuned.vocab.embeddings[old.token_index] += 0.5
+    delta = analysis.extract_delta(start, tuned)
+    assert [n for n, _ in delta.modifier_embeddings] == ["<new0>", "<new1>"]
+    np.testing.assert_array_equal(delta.modifier_embeddings[0][1],
+                                  tuned.vocab.embeddings[old.token_index])
 
 
 def test_apply_delta_architecture_check(tiny_model):
@@ -98,6 +122,37 @@ def test_compress_residual_matches_dropped_singular_values(tiny_model):
         rec = analysis.reconstruct_entry(entry)
         assert np.linalg.norm(rec - dense) == pytest.approx(entry.residual,
                                                             abs=1e-10)
+
+
+def _one_entry_delta(a):
+    return analysis.DeltaCheckpoint(
+        entries={(0, ROLE_CROSS_KEY): analysis.DeltaEntry(dense=a, shape=a.shape)},
+        modifier_embeddings=[], config=denoiser.ModelConfig())
+
+
+@given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_compress_at_full_rank_reconstructs(seed, m, n):
+    # the largest energy below 1 keeps every singular value but still factorizes
+    a = np.random.default_rng(seed).standard_normal((m, n))
+    compressed = analysis.compress_delta(_one_entry_delta(a), np.nextafter(1.0, 0.0))
+    entry = compressed.entries[(0, ROLE_CROSS_KEY)]
+    assert not entry.is_dense
+    assert entry.sigma.shape == (min(m, n),)
+    assert np.all(np.diff(entry.sigma) <= 1e-12)
+    assert np.all(entry.sigma >= 0)
+    np.testing.assert_allclose(analysis.reconstruct_entry(entry), a, atol=1e-10)
+    # orthonormal factors
+    k = min(m, n)
+    np.testing.assert_allclose(entry.u.T @ entry.u, np.eye(k), atol=1e-12)
+    np.testing.assert_allclose(entry.vt @ entry.vt.T, np.eye(k), atol=1e-12)
+
+
+def test_spectrum_matches_eigendecomposition():
+    # independent route: singular values are sqrt eigenvalues of A^T A
+    a = np.random.default_rng(3).standard_normal((6, 4))
+    sigma = analysis.spectrum(_one_entry_delta(a))[(0, ROLE_CROSS_KEY)]
+    np.testing.assert_allclose(sigma ** 2, np.linalg.eigvalsh(a.T @ a)[::-1], atol=1e-10)
 
 
 def test_compress_zero_delta(tiny_model):

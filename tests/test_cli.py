@@ -1,13 +1,19 @@
 """Command-line behaviour not covered by the end-to-end determinism check:
 error exit codes, manifests, and the image writer."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvdiff import analysis, checkpoint, denoiser, diffusion, finetune, fixtures, textmod
+from kvdiff import data as datamod
 from kvdiff.cli import run_command, write_pgm
 from kvdiff.errors import InvalidInput
 
@@ -71,6 +77,8 @@ def _argv(d, command):
         "merge": ["merge", "--base", p("base.ckpt"), "--delta", p("delta.ckpt"),
                   "--targets", p("targets.json"),
                   "--reg-captions", p("reg_captions.json")],
+        "eval": ["eval", "--model", p("base.ckpt"), "--prompt", "photo of a blob",
+                 "--targets", p("concept_blob.json"), "--num", "1", "--steps", "2"],
     }[command] + ["--out", p("out")]
 
 
@@ -94,6 +102,30 @@ def test_bad_json_input_exits_2_with_one_error_line(tmp_path, cli_inputs, capsys
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(bad) in err
+
+
+@pytest.mark.parametrize("command,flag,literal", [
+    ("eval", "--targets", "NaN"), ("retrieve-reg", "--pool", "Infinity"),
+    ("finetune", "--concept", "NaN")])
+def test_non_finite_dataset_pixel_exits_2_before_any_work(tmp_path, cli_inputs, capsys,
+                                                          monkeypatch, command, flag, literal):
+    # json reads the NaN and Infinity literals as floats
+    calls = []
+    monkeypatch.setattr(denoiser, "forward", lambda *a: calls.append(a))
+    argv = _argv(cli_inputs, command)
+    with open(argv[argv.index(flag) + 1]) as fh:
+        rows = json.load(fh)
+    rows[0]["pixels"][3] = float(literal)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rows))
+    assert literal in bad.read_text()
+    argv[argv.index(flag) + 1] = str(bad)
+    argv[argv.index("--out") + 1] = str(tmp_path / "out")
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(bad) in err and "finite pixels" in err
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def test_retrieve_reg_writes_artifact_and_manifest(tmp_path, fixture_dir):
@@ -196,6 +228,37 @@ def test_merge_of_two_deltas_with_one_modifier_token_exits_2(tmp_path, cli_input
     assert "'<new1>' is carried by more than one delta" in err
 
 
+def test_a_delta_tuned_from_a_model_with_modifiers_merges_back_onto_it(tmp_path, cli_inputs):
+    """A model that already holds <new1> and <new2> is fine-tuned on a third
+    concept: its delta carries only <new3>, with or without modifier
+    training, and merging it back onto that model adds <new3>."""
+    model = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
+    textmod.register_modifier(model.vocab, "<new1>")
+    textmod.register_modifier(model.vocab, "<new2>", source="pkz")
+    merged = str(tmp_path / "merged.ckpt")
+    checkpoint.save_model(merged, model, diffusion.NoiseSchedule.linear(T=50))
+    concept = str(tmp_path / "concept_new3.json")
+    datamod.save_dataset([datamod.ConceptExample(ex.image, "photo of a <new3> blob")
+                          for ex in fixtures.target_concept()], concept)
+    cfg = tmp_path / "cfg.json"
+    for train_modifier in (False, True):
+        cfg.write_text(json.dumps({"train": {"steps": 2, "batch": 2, "use_reg": "none",
+                                             "train_modifier": train_modifier}}))
+        delta = str(tmp_path / "d3.ckpt")
+        assert run_command(["finetune", "--config", str(cfg), "--model", merged,
+                            "--concept", concept, "--modifier", "<new3>",
+                            "--modifier-source", "vxq", "--out", str(tmp_path / "tuned3.ckpt"),
+                            "--out-delta", delta]) == 0
+        assert [n for n, _ in checkpoint.load_delta(delta).modifier_embeddings] == ["<new3>"]
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps([["photo of a <new3> blob"]]))
+    out = str(tmp_path / "merged3.ckpt")
+    assert run_command(["merge", "--base", merged, "--delta", delta, "--targets", str(targets),
+                        "--reg-captions", str(cli_inputs / "reg_captions.json"),
+                        "--out", out]) == 0
+    assert sorted(checkpoint.load_model(out)[0].vocab.modifiers) == ["<new1>", "<new2>", "<new3>"]
+
+
 def test_merge_of_a_delta_whose_modifier_is_a_word_exits_2(tmp_path, cli_inputs, capsys):
     base = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
     delta = analysis.extract_delta(base, base)
@@ -273,3 +336,130 @@ def test_fixture_writer_produces_cli_inputs(fixture_dir):
 def test_unknown_subcommand_exits_nonzero(capsys):
     assert run_command(["frobnicate"]) != 0
     capsys.readouterr()
+
+
+# JSON values of every kind, non-finite and out-of-range numbers included
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 10), st.just(10 ** 400),
+              st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+_WORDS = ["photo", "of", "a", "blob", "ring", "<s>", "<new1>", "<new2>", ""]
+# vocabulary words, and at most one arbitrary word
+_CAPTIONS = st.builds(lambda words, other: " ".join(words + other),
+                      st.lists(st.sampled_from(_WORDS), max_size=5),
+                      st.lists(st.text(max_size=4), max_size=1))
+
+
+@st.composite
+def _mutated_dataset(draw, rows):
+    """A valid dataset with one change: the whole file, a row key dropped or
+    set to any JSON value, a pixel set to any JSON value, a new caption, a
+    new image size with the pixels to match, or rows dropped."""
+    rows = copy.deepcopy(rows)
+    op = draw(st.sampled_from(["file", "drop", "field", "pixel", "caption", "size", "rows"]))
+    if op == "file":
+        return draw(_JSON)
+    if op == "rows":
+        return rows[:draw(st.integers(0, len(rows) - 1))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if op == "drop":
+        del row[draw(st.sampled_from(sorted(row)))]
+    elif op == "field":
+        row[draw(st.sampled_from(["caption", "height", "width", "pixels", "extra"]))] = draw(_JSON)
+    elif op == "pixel":
+        row["pixels"][draw(st.integers(0, len(row["pixels"]) - 1))] = draw(_JSON)
+    elif op == "caption":
+        row["caption"] = draw(_CAPTIONS)
+    else:
+        row["height"], row["width"] = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        row["pixels"] = (row["pixels"] * 2)[:row["height"] * row["width"]]
+    return rows
+
+
+@st.composite
+def _mutated_targets(draw, targets):
+    """A valid target list with one change: the whole file, a caption list
+    or caption set to any JSON value, a new caption, or a list or caption
+    added or dropped."""
+    targets = copy.deepcopy(targets)
+    op = draw(st.sampled_from(["file", "list", "item", "caption", "add", "drop"]))
+    if op == "file":
+        return draw(_JSON)
+    i = draw(st.integers(0, len(targets) - 1))
+    if op == "list":
+        targets[i] = draw(_JSON)
+    elif op == "item":
+        targets[i][0] = draw(_JSON)
+    elif op == "caption":
+        targets[i][0] = draw(_CAPTIONS)
+    elif op == "add":
+        targets[i].append(draw(_CAPTIONS))
+    elif draw(st.booleans()):
+        del targets[i]
+    else:
+        del targets[i][0]
+    return targets
+
+
+def _exits_0_or_2_with_one_error_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run_command(argv)
+    assert (rc == 0 and err.getvalue() == "") or (
+        rc == 2 and err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1), \
+        (rc, err.getvalue())
+
+
+@pytest.fixture(scope="module")
+def merge_inputs(tmp_path_factory):
+    """A tiny base and two deltas, <new1> and <new2>, for mutated target lists."""
+    d = tmp_path_factory.mktemp("merge_mutants")
+    cfg = denoiser.ModelConfig(height=4, width=4, d_model=6, d_attn=4, d_text=5, hidden=7,
+                               blocks=2)
+    voc = textmod.build_vocabulary(["photo", "of", "a", "blob", "ring"],
+                                   {"blob": 8, "ring": 6}, dim=5, seed=3)
+    base = denoiser.build_model(cfg, seed=5, vocab=voc)
+    checkpoint.save_model(str(d / "base.ckpt"), base, diffusion.NoiseSchedule.linear(T=50))
+    rng = np.random.default_rng(0)
+    for name, source, path in (("<new1>", "blob", "delta1.ckpt"),
+                               ("<new2>", "ring", "delta2.ckpt")):
+        tuned = base.clone()
+        mod = textmod.register_modifier(tuned.vocab, name, source=source)
+        tuned.vocab.embeddings[mod.token_index] += rng.standard_normal(5)
+        for k in tuned.params.sorted_keys():
+            tuned.params[k] = tuned.params[k] + 0.1 * rng.standard_normal(tuned.params[k].shape)
+        checkpoint.save_delta(str(d / path), analysis.extract_delta(base, tuned))
+    (d / "reg_captions.json").write_text(json.dumps(["photo of a blob", "photo of a ring"]))
+    return d
+
+
+# a mutant pool may hold no caption near the target, which warns by design
+@pytest.mark.filterwarnings("ignore::kvdiff.errors.EmptyRegularizationSetWarning")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), command=st.sampled_from(["retrieve-reg", "eval"]))
+def test_mutated_dataset_exits_0_or_2_with_one_error_line(cli_inputs, data, command):
+    """A concept file sent through `eval` or a pool file sent through
+    `retrieve-reg`, with one change, is used or refused with one `error:`
+    line, never with a traceback."""
+    argv = _argv(cli_inputs, command)
+    flag = {"eval": "--targets", "retrieve-reg": "--pool"}[command]
+    with open(argv[argv.index(flag) + 1]) as fh:
+        rows = json.load(fh)[:3]
+    path = cli_inputs / "mutant.json"
+    path.write_text(json.dumps(data.draw(_mutated_dataset(rows))))
+    argv[argv.index(flag) + 1] = str(path)
+    _exits_0_or_2_with_one_error_line(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(targets=_mutated_targets([["photo of a <new1> blob"], ["photo of a <new2> ring"]]))
+def test_mutated_target_list_exits_0_or_2_with_one_error_line(merge_inputs, targets):
+    path = merge_inputs / "targets.json"
+    path.write_text(json.dumps(targets))
+    _exits_0_or_2_with_one_error_line([
+        "merge", "--base", str(merge_inputs / "base.ckpt"),
+        "--delta", str(merge_inputs / "delta1.ckpt"), str(merge_inputs / "delta2.ckpt"),
+        "--targets", str(path), "--reg-captions", str(merge_inputs / "reg_captions.json"),
+        "--out", str(merge_inputs / "merged.ckpt")])

@@ -20,6 +20,15 @@ def _problem(seed=0, o=3, d=5, s=2, s_reg=8):
         reg_features=rng.standard_normal((s_reg, d)))
 
 
+def test_as_matrix_rejects_bad_input():
+    with pytest.raises(InvalidInput):
+        merge.as_matrix(np.ones(3), "w0")
+    with pytest.raises(InvalidInput):
+        merge.as_matrix(np.array([[1.0, np.nan]]), "w0")
+    with pytest.raises(InvalidInput):
+        merge.as_matrix(np.array([[np.inf, 0.0]]), "w0")
+
+
 def test_problem_validation():
     rng = np.random.default_rng(1)
     with pytest.raises(InvalidInput):       # too few regularization rows
