@@ -75,6 +75,14 @@ def cmd_pretrain(args, cfg):
     return [args.out]
 
 
+def _check_image_shape(path, examples, shape):
+    """Every image of the dataset read from `path` must have the model's shape."""
+    for ex in examples:
+        if ex.image.shape != shape:
+            raise InvalidInput(f"{path} holds a {ex.image.shape[0]}x{ex.image.shape[1]} image; "
+                               f"the model takes {shape[0]}x{shape[1]}")
+
+
 def cmd_finetune(args, cfg):
     tcfg = finetune.FineTuneConfig(**cfg["train"])
     if args.out_delta and tcfg.trainable_scope != finetune.SCOPE_KV_ONLY:
@@ -83,6 +91,7 @@ def cmd_finetune(args, cfg):
     examples = datamod.load_dataset(args.concept)
     if not examples:
         raise InvalidInput(f"{args.concept} holds no concept examples")
+    _check_image_shape(args.concept, examples, loaded.image_shape)
     base = loaded.clone()   # the delta is taken against `loaded`, so it carries the new modifier
     modifier = None
     if args.modifier:
@@ -94,6 +103,7 @@ def cmd_finetune(args, cfg):
         if not args.reg_pool:
             raise InvalidInput("use_reg=retrieved requires --reg-pool")
         pool = datamod.load_dataset(args.reg_pool)
+        _check_image_shape(args.reg_pool, pool, loaded.image_shape)
         reg = datamod.retrieve_regularization(
             pool, target_caption, cfg["retrieval"]["threshold"], cfg["retrieval"]["cap"],
             _featurizer(cfg).caption_featurizer(base.vocab))

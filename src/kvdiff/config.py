@@ -61,11 +61,16 @@ def _is_strings(v):
     return _is_list(v, lambda c: isinstance(c, str))
 
 
+def _is_pixel(v):
+    # the image range: the fixtures' and the sampler's clipped x0 estimate
+    return _is_number(v) and -1.0 <= v <= 1.0
+
+
 def _is_dataset(rows):
     return _is_list(rows, lambda r: (
         isinstance(r, dict) and isinstance(r.get("caption"), str)
         and _is_int(r.get("height"), 1) and _is_int(r.get("width"), 1)
-        and _is_list(r.get("pixels"), _is_number)
+        and _is_list(r.get("pixels"), _is_pixel)
         and len(r["pixels"]) == r["height"] * r["width"]))
 
 
@@ -82,7 +87,8 @@ def _is_vocabulary(v):
 # JSON input kind -> (what the error says the file must be, structure check)
 JSON_KINDS = {
     "config": ("a table", lambda v: isinstance(v, dict)),
-    "dataset": ("a list of {caption, height, width, pixels} rows with finite pixels",
+    "dataset": ("a list of {caption, height, width, pixels} rows with finite pixels "
+                "in [-1, 1]",
                 _is_dataset),
     "vocabulary": ("a vocabulary spec {tokens, counts, dim[, seed, scale]}",
                    lambda v: _is_vocabulary(v) and _is_int(v.get("dim"), 1)),

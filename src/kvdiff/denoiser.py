@@ -159,57 +159,78 @@ def build_model(cfg=None, *, seed, vocab=None):
     return DenoiserNet(config=cfg, params=init_params(cfg, seed), vocab=vocab)
 
 
-def _attn_forward(f, c, wq, wk, wv, key_bias=None):
+def _buf(ws, name, shape):
+    """The workspace array `name` of `ws`, reallocated when its shape differs
+    from `shape`: a cross-attention array changes with the longest caption."""
+    a = ws.get(name)
+    if a is None or a.shape != shape:
+        a = ws[name] = np.empty(shape)
+    return a
+
+
+def _mm(ws, name, a, b):
+    """a @ b written into the workspace array `name` (2-D, or stacked 3-D
+    with equal stack sizes)."""
+    return np.matmul(a, b, out=_buf(ws, name, a.shape[:-1] + b.shape[-1:]))
+
+
+def _attn_forward(f, c, wq, wk, wv, key_bias=None, ws=None):
     """Single-head attention of the queries of f (B, N, D) over the keys and
     values of c (B, S, Dc). key_bias (B, S) is added to every query's logits:
     0 for a real key and -inf for padding, which gets exactly zero weight.
     The projections run as 2-D matmuls over all rows of the batch; the cache
     holds f, c and the output h as such rows, (B*N, D), (B*S, Dc), (B*N, dp),
-    and the queries scaled by 1/sqrt(dp)."""
+    and the queries scaled by 1/sqrt(dp). Its arrays other than f and c are
+    those of the workspace `ws` (a fresh one when None)."""
+    ws = {} if ws is None else ws
     b, n, _ = f.shape
     s = c.shape[1]
     f, c = f.reshape(b * n, -1), c.reshape(b * s, -1)
-    q = f @ wq.T
+    q = _mm(ws, "q", f, wq.T)
     q *= wq.shape[0] ** -0.5
     q = q.reshape(b, n, -1)
-    k = (c @ wk.T).reshape(b, s, -1)
-    v = (c @ wv.T).reshape(b, s, -1)
-    a = q @ k.transpose(0, 2, 1)
+    k = _mm(ws, "k", c, wk.T).reshape(b, s, -1)
+    v = _mm(ws, "v", c, wv.T).reshape(b, s, -1)
+    a = _mm(ws, "a", q, k.transpose(0, 2, 1))
     if key_bias is not None:
         a += key_bias[:, None, :]
     # softmax over the keys, in place
     a -= a.max(axis=2, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=2, keepdims=True)
-    return {"f": f, "c": c, "q": q, "k": k, "v": v, "a": a, "h": (a @ v).reshape(b * n, -1)}
+    return {"f": f, "c": c, "q": q, "k": k, "v": v, "a": a,
+            "h": _mm(ws, "h", a, v).reshape(b * n, -1)}
 
 
-def _attn_backward(cache, dout, keys, p, want, grads):
+def _attn_backward(cache, dout, keys, p, want, grads, ws):
     """Backprop through one attention sublayer, h = A V and its output
     projection, for dout given as rows like the cache's f. keys are the
     sublayer's (q, k, v, out) registry keys; each one in `want` gets its
     gradient, summed over the batch, stored in grads. Returns (df, dc) as
-    rows."""
+    rows, both arrays of the scratch workspace `ws`."""
     kq, kk, kv, ko = keys
     if ko in want:
         grads[ko] = dout.T @ cache["h"]
     a, q, k, v, f, c = cache["a"], cache["q"], cache["k"], cache["v"], cache["f"], cache["c"]
     scale = q.shape[-1] ** -0.5
-    dh = (dout @ p[ko]).reshape(q.shape)
-    dv = a.transpose(0, 2, 1) @ dh
+    dh = _mm(ws, "dh", dout, p[ko]).reshape(q.shape)
+    dv = _mm(ws, "dv", a.transpose(0, 2, 1), dh)
     # dz = A * (dA - rowsum(dA * A)) with dA = dh V^T, computed in place;
     # rowsum(dA * A) = rowsum(dh * h) since h = A V
-    dz = dh @ v.transpose(0, 2, 1)
-    dz -= np.sum(dh * cache["h"].reshape(q.shape), axis=2, keepdims=True)
+    dz = _mm(ws, "dz", dh, v.transpose(0, 2, 1))
+    dhh = np.multiply(dh, cache["h"].reshape(q.shape), out=_buf(ws, "dhh", q.shape))
+    dz -= np.sum(dhh, axis=2, keepdims=True)
     dz *= a
-    dq = (dz @ k).reshape(f.shape[0], -1)
+    dq = _mm(ws, "dq", dz, k).reshape(f.shape[0], -1)
     dq *= scale
-    dk = (dz.transpose(0, 2, 1) @ q).reshape(c.shape[0], -1)
+    dk = _mm(ws, "dk", dz.transpose(0, 2, 1), q).reshape(c.shape[0], -1)
     dv = dv.reshape(c.shape[0], -1)
     for key, dy, x in ((kq, dq, f), (kk, dk, c), (kv, dv, c)):
         if key in want:
             grads[key] = dy.T @ x
-    return dq @ p[kq], dk @ p[kk] + dv @ p[kv]
+    dc = _mm(ws, "dc", dk, p[kk])
+    dc += _mm(ws, "dcv", dv, p[kv])
+    return _mm(ws, "df", dq, p[kq]), dc
 
 
 @functools.cache
@@ -222,14 +243,21 @@ def _block_keys(l):
     return cross, self_attn, (ParamKey(l, ROLE_OTHER, "mlp_w1"), ParamKey(l, ROLE_OTHER, "mlp_w2"))
 
 
-def forward(model, x_t, t, c):
+def forward(model, x_t, t, c, workspace=None):
     """Forward pass over a batch: x_t (B, H, W), t holds B timesteps and c is
     a list of B caption-feature arrays (s_b, d_text), s_b >= 1. Captions are
     padded to the longest one; padded keys get zero attention weight. The
     features of all B images run as one (B*h*w, d_model) array of rows.
+
+    `workspace` is a dict the caller keeps across calls (a fresh one when
+    None): the pass writes its large arrays, and backward() its scratch
+    arrays, into the workspace's arrays of the same shape, so a loop that
+    keeps one allocates them once. The cache holds views into it, valid until
+    the next call with that workspace; eps never does.
     Returns (eps (B, H, W), cache)."""
     cfg = model.config
     p = model.params
+    ws = {} if workspace is None else workspace
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.ndim != 3 or x_t.shape[0] < 1 or x_t.shape[1:] != (cfg.height, cfg.width):
         raise InvalidInput(f"expected images of shape (B, {cfg.height}, {cfg.width}) "
@@ -255,29 +283,39 @@ def forward(model, x_t, t, c):
     x = x_t.reshape(-1)
     s_t = sinusoidal_embedding(t, d)
     te = s_t @ p[ParamKey(0, ROLE_OTHER, "w_time")].T
-    f = (np.outer(x, p[ParamKey(0, ROLE_OTHER, "w_pix")][0]).reshape(bsz, n, d)
-         + model.pos + te[:, None, :]).reshape(bsz * n, d)
+    # the outer product of the pixels and w_pix as a matmul over a length-1
+    # axis, which (unlike np.outer) needs no temporary buffers
+    f = _mm(ws, "f0", x[:, None], p[ParamKey(0, ROLE_OTHER, "w_pix")])
+    f3 = f.reshape(bsz, n, d)
+    f3 += model.pos
+    f3 += te[:, None, :]
 
-    cache = {"x": x, "s_t": s_t, "c": cpad, "lengths": lengths, "blocks": []}
+    cache = {"x": x, "s_t": s_t, "c": cpad, "lengths": lengths, "blocks": [], "ws": ws}
     for l in range(1, cfg.blocks + 1):
+        wb = ws.setdefault(l, {})
         bc = {}
         # cross-attention first, so its output is decoded by the rest of the
         # block (and any later blocks) rather than feeding the output
         # projection directly
         cross, self_attn, mlp = _block_keys(l)
         cq, ck, cv, co = map(p.__getitem__, cross)
-        bc["ca"] = _attn_forward(f.reshape(bsz, n, d), cpad, cq, ck, cv, key_bias)
-        f1 = f + bc["ca"]["h"] @ co.T
+        bc["ca"] = _attn_forward(f.reshape(bsz, n, d), cpad, cq, ck, cv, key_bias,
+                                 ws=wb.setdefault("ca", {}))
+        f1 = _mm(wb, "f1", bc["ca"]["h"], co.T)
+        f1 += f
         # self-attention
         sq, sk, sv, so = map(p.__getitem__, self_attn)
         f1_3d = f1.reshape(bsz, n, d)
-        bc["sa"] = _attn_forward(f1_3d, f1_3d, sq, sk, sv)
-        f2 = f1 + bc["sa"]["h"] @ so.T
+        bc["sa"] = _attn_forward(f1_3d, f1_3d, sq, sk, sv, ws=wb.setdefault("sa", {}))
+        f2 = _mm(wb, "f2", bc["sa"]["h"], so.T)
+        f2 += f1
         # residual MLP (tanh; smooth for finite-difference checks)
         w1, w2 = map(p.__getitem__, mlp)
         bc["f2"] = f2
-        bc["r"] = np.tanh(f2 @ w1.T)
-        f = f2 + bc["r"] @ w2.T
+        r = bc["r"] = _mm(wb, "r", f2, w1.T)
+        np.tanh(r, out=r)
+        f = _mm(wb, "f", r, w2.T)
+        f += f2
         cache["blocks"].append(bc)
     cache["f_final"] = f
     # readout scaled by 1/d_model so the trained head keeps a healthy norm
@@ -286,16 +324,16 @@ def forward(model, x_t, t, c):
 
 
 def backward(model, cache, d_eps, keys=None):
-    """Backprop through forward(). Consumes the cache: each block's
-    activations are released once passed. Returns (grads, d_c): grads maps
-    each ParamKey in `keys` (every key when None) to its gradient summed over
-    the batch, and d_c lists each example's text-feature gradient, cut back
-    to its caption's length."""
+    """Backprop through forward(). Its scratch arrays come from the workspace
+    of the forward pass that made `cache`, one set that the blocks share, as
+    they run one after another. Returns (grads, d_c): grads maps each
+    ParamKey in `keys` (every key when None) to its gradient summed over the
+    batch, and d_c lists each example's text-feature gradient, cut back to
+    its caption's length. Neither shares memory with the workspace."""
     cfg = model.config
     p = model.params
     want = set(p) if keys is None else set(keys)
     grads = {}
-    blocks = cache["blocks"]
     x, lengths = cache["x"], cache["lengths"]
     d_c = np.zeros_like(cache["c"])
     d = cfg.d_model
@@ -304,26 +342,37 @@ def backward(model, cache, d_eps, keys=None):
     k_out = ParamKey(0, ROLE_OTHER, "w_out")
     if k_out in want:
         grads[k_out] = (cache["f_final"].T @ deps)[None, :] / d
-    df = np.outer(deps, p[k_out][0]) / d
+    scratch = cache["ws"].setdefault("backward", {})
+    df = _mm(scratch, "df", deps[:, None], p[k_out])
+    df /= d
 
-    for l in range(cfg.blocks, 0, -1):
-        bc = blocks.pop()
+    for l, bc in zip(range(cfg.blocks, 0, -1), reversed(cache["blocks"])):
         cross, self_attn, (k1, k2) = _block_keys(l)
+        r = bc["r"]
         # MLP residual
         if k2 in want:
-            grads[k2] = df.T @ bc["r"]
-        dh1 = df @ p[k2]
-        dh1 *= 1.0 - bc["r"] ** 2
+            grads[k2] = df.T @ r
+        dh1 = _mm(scratch, "dh1", df, p[k2])
+        # 1 - r^2, the derivative of tanh
+        dtanh = np.square(r, out=_buf(scratch, "dtanh", r.shape))
+        np.subtract(1.0, dtanh, out=dtanh)
+        dh1 *= dtanh
         if k1 in want:
             grads[k1] = dh1.T @ bc["f2"]
-        df2 = dh1 @ p[k1] + df
+        df2 = _mm(scratch, "df2", dh1, p[k1])
+        # the last read of df, which may be the cross-attention scratch
+        # array that this block's cross-attention step overwrites
+        df2 += df
         # self-attention residual
-        dfq, dfkv = _attn_backward(bc["sa"], df2, self_attn, p, want, grads)
-        df1 = dfq + dfkv + df2
+        df1, dfkv = _attn_backward(bc["sa"], df2, self_attn, p, want, grads,
+                                   scratch.setdefault("sa", {}))
+        df1 += dfkv
+        df1 += df2
         # cross-attention residual
-        dfc, dc = _attn_backward(bc["ca"], df1, cross, p, want, grads)
+        df, dc = _attn_backward(bc["ca"], df1, cross, p, want, grads,
+                                scratch.setdefault("ca", {}))
         d_c += dc.reshape(d_c.shape)
-        df = dfc + df1
+        df += df1
 
     # input embedding
     k_pix, k_time = ParamKey(0, ROLE_OTHER, "w_pix"), ParamKey(0, ROLE_OTHER, "w_time")
@@ -338,7 +387,7 @@ def predict_eps_with_traces(model, x_t, t, c):
     """predict() that also returns each block's cross-attention weights,
     each an (h*w, s) AttentionTrace read from the forward cache."""
     eps, cache = forward(model, np.asarray(x_t, dtype=np.float64)[None], (t,), (c,))
-    return eps[0], [AttentionTrace(weights=bc["ca"]["a"][0], layer=l, timestep=int(t),
+    return eps[0], [AttentionTrace(weights=bc["ca"]["a"][0].copy(), layer=l, timestep=int(t),
                                    grid=model.image_shape)
                     for l, bc in enumerate(cache["blocks"], start=1)]
 

@@ -88,7 +88,8 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     denoiser.forward over both branches as a batch of two (the shorter
     caption padded); at scale == 1 the batch holds the conditional branch
     alone and uncond is never run. The predicted x0 is clipped to the image
-    range [-1, 1]. Deterministic for a fixed seed.
+    range [-1, 1]. The steps share one denoiser workspace. Deterministic for
+    a fixed seed.
     """
     if scale < 0:
         raise InvalidInput("scale must be non-negative")
@@ -103,9 +104,10 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     ab = sched.alpha_bar[ts - 1].tolist()
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(model.image_shape)
+    workspace = {}
     for t, ab_t, ab_p in zip(ts.tolist(), ab, ab[1:] + [1.0]):
         eps, _ = denoiser.forward(model, np.stack([x] * len(captions)),
-                                  (t,) * len(captions), captions)
+                                  (t,) * len(captions), captions, workspace)
         eps_hat = eps[0] if scale == 1.0 else eps[1] + scale * (eps[0] - eps[1])
         if not np.all(np.isfinite(eps_hat)):
             raise NumericalFailure(f"non-finite noise prediction at t={t}")

@@ -76,7 +76,7 @@ def sgd_step(params, grads, lr):
 
 
 def batch_gradients(model, examples, sched, rng, modifier_indices=(),
-                    cond_dropout=0.0, keys=None):
+                    cond_dropout=0.0, keys=None, workspace=None):
     """Average loss and gradients over a batch of (image, caption, mask) draws.
 
     examples: iterable of (AugmentedSample-or-ConceptExample). Each example
@@ -84,7 +84,8 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
     forward and one backward pass run over the whole batch. Returns
     (loss, grads, emb_grads): grads maps each registry key in `keys` (every
     key when None) to its gradient, and emb_grads maps modifier token index to
-    the gradient of its embedding row.
+    the gradient of its embedding row. `workspace` is passed to
+    denoiser.forward; no returned array shares memory with it.
     """
     vocab = model.vocab
     x_t, ts, cs, draws = [], [], [], []
@@ -103,7 +104,7 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
     n = len(draws)
     if n == 0:
         raise InvalidInput("empty batch")
-    eps_pred, cache = denoiser.forward(model, np.stack(x_t), ts, cs)
+    eps_pred, cache = denoiser.forward(model, np.stack(x_t), ts, cs, workspace)
     total_loss = 0.0
     d_pred = np.empty_like(eps_pred)
     for i, (eps, mask, _) in enumerate(draws):
@@ -123,8 +124,10 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
 
 def _train(model, targets, reg, cfg, sched, modifier_indices):
     """Train `model` in place on balanced target/regularization batches, every
-    draw from one generator seeded with cfg.seed; `reg` is unused under use_reg none."""
+    draw from one generator seeded with cfg.seed; `reg` is unused under use_reg none.
+    Every step's forward and backward pass share one denoiser workspace."""
     rng = np.random.default_rng(cfg.seed)
+    workspace = {}
     trainable = trainable_set(model, cfg.trainable_scope)
     stream = datamod.balanced_batches(targets, reg if cfg.use_reg != "none" else None,
                                       cfg.batch, rng)
@@ -142,7 +145,7 @@ def _train(model, targets, reg, cfg, sched, modifier_indices):
         loss, grads, emb_grads = batch_gradients(
             model, batch, sched, rng,
             modifier_indices=modifier_indices if cfg.train_modifier else (),
-            cond_dropout=cfg.cond_dropout, keys=trainable)
+            cond_dropout=cfg.cond_dropout, keys=trainable, workspace=workspace)
         updated = sgd_step({k: model.params[k] for k in trainable}, grads,
                            cfg.learning_rate)
         for k, v in updated.items():

@@ -106,10 +106,13 @@ def test_bad_json_input_exits_2_with_one_error_line(tmp_path, cli_inputs, capsys
 
 @pytest.mark.parametrize("command,flag,literal", [
     ("eval", "--targets", "NaN"), ("retrieve-reg", "--pool", "Infinity"),
-    ("finetune", "--concept", "NaN")])
+    ("finetune", "--concept", "NaN"), ("eval", "--targets", "1e+308"),
+    ("eval", "--targets", "-1e+308"), ("finetune", "--concept", "1.5")])
 def test_non_finite_dataset_pixel_exits_2_before_any_work(tmp_path, cli_inputs, capsys,
                                                           monkeypatch, command, flag, literal):
-    # json reads the NaN and Infinity literals as floats
+    # json reads the NaN and Infinity literals as floats; a finite pixel
+    # outside the image range [-1, 1] is refused too (at +-1e308 the eval
+    # featurizer would overflow)
     calls = []
     monkeypatch.setattr(denoiser, "forward", lambda *a: calls.append(a))
     argv = _argv(cli_inputs, command)
@@ -126,6 +129,38 @@ def test_non_finite_dataset_pixel_exits_2_before_any_work(tmp_path, cli_inputs, 
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert str(bad) in err and "finite pixels" in err
     assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("use_reg,small", [("generated", "--concept"),
+                                           ("retrieved", "--concept"),
+                                           ("retrieved", "--reg-pool")])
+def test_finetune_image_size_is_checked_before_regularization(tmp_path, cli_inputs, capsys,
+                                                              monkeypatch, use_reg, small):
+    """Concept images, and retrieved pool images, of another size than the
+    model's exit 2 before any regularization image is retrieved or sampled."""
+    calls = []
+    for owner, name in ((diffusion, "sample_cfg"), (datamod, "retrieve_regularization")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
+    files = {"--concept": cli_inputs / "concept_blob.json",
+             "--reg-pool": cli_inputs / "reg_pool.json"}
+    rows = json.loads(files[small].read_text())
+    for row in rows:
+        row["height"] = row["width"] = 4
+        row["pixels"] = row["pixels"][:16]
+    files[small] = tmp_path / "small.json"
+    files[small].write_text(json.dumps(rows))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"steps": 1, "use_reg": use_reg},
+                               "retrieval": {"cap": 2}, "sampler": {"steps": 2}}))
+    out = tmp_path / "tuned.ckpt"
+    rc = run_command(["finetune", "--config", str(cfg), "--model", str(cli_inputs / "base.ckpt"),
+                      "--concept", str(files["--concept"]), "--reg-pool", str(files["--reg-pool"]),
+                      "--modifier", "<new1>", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(files[small]) in err and "4x4" in err and "8x8" in err
+    assert calls == [] and not out.exists()
 
 
 def test_retrieve_reg_writes_artifact_and_manifest(tmp_path, fixture_dir):

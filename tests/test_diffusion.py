@@ -118,9 +118,9 @@ def test_sample_cfg_determinism_and_guidance_branches(tiny_model, monkeypatch):
     batches = []
     inner = denoiser.forward
 
-    def counted(model, x_t, t, c):
+    def counted(model, x_t, t, c, workspace):
         batches.append(len(x_t))
-        return inner(model, x_t, t, c)
+        return inner(model, x_t, t, c, workspace)
 
     monkeypatch.setattr(denoiser, "forward", counted)
     diffusion.sample_cfg(tiny_model, cond, 5, 1.0, 9, sched)
@@ -136,5 +136,16 @@ def test_sample_survives_a_later_sample(tiny_model):
     cond, uncond = _captions(tiny_model, "photo of a blob")
     first = diffusion.sample_cfg(tiny_model, cond, 5, 6.0, 9, sched, uncond=uncond)
     kept = first.copy()
+    # the same caption shapes, so a shared buffer would be overwritten in place
+    diffusion.sample_cfg(tiny_model, cond, 5, 6.0, 10, sched, uncond=uncond)
     diffusion.sample_cfg(tiny_model, uncond, 5, 6.0, 10, sched, uncond=uncond)
     assert first.tobytes() == kept.tobytes()
+
+
+def test_traces_survive_a_later_call(tiny_model):
+    cond, _ = _captions(tiny_model, "photo of a blob")
+    x = np.random.default_rng(2).standard_normal((4, 4))
+    _, traces = denoiser.predict_eps_with_traces(tiny_model, x, 7, cond)
+    kept = [tr.weights.copy() for tr in traces]
+    denoiser.predict_eps_with_traces(tiny_model, -x, 3, cond + 1.0)
+    assert all(tr.weights.tobytes() == w.tobytes() for tr, w in zip(traces, kept))
