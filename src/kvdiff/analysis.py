@@ -140,11 +140,12 @@ def compress_delta(delta, energy):
                            energy_kept=energy, config=delta.config)
 
 
-def apply_delta(base, delta):
-    """base + reconstructed delta on the K/V entries; modifier tokens registered."""
+def delta_weights(base, delta):
+    """Registry key -> base weight + reconstructed entry for each entry of `delta`,
+    checked against `base`: the architecture, a known (layer, role), the shape."""
     if delta.config != base.config:
         raise InvalidInput("delta architecture does not match base model")
-    model = base.clone()
+    out = {}
     for (layer, role), entry in delta.entries.items():
         key = next((k for k in base.params if k.layer == layer and k.role == role), None)
         if key is None:
@@ -152,7 +153,14 @@ def apply_delta(base, delta):
         rec = reconstruct_entry(entry)
         if rec.shape != base.params[key].shape:
             raise InvalidInput(f"delta shape mismatch at {key}")
-        model.params[key] = base.params[key] + rec
+        out[key] = base.params[key] + rec
+    return out
+
+
+def apply_delta(base, delta):
+    """base + reconstructed delta on the K/V entries; modifier tokens registered."""
+    model = base.clone()
+    model.params.update(delta_weights(base, delta))
     for name, emb in delta.modifier_embeddings:
         textmod.register_modifier_with_embedding(model.vocab, name, emb)
     return model

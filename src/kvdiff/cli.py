@@ -108,9 +108,11 @@ def cmd_finetune(args, cfg):
             pool, target_caption, cfg["retrieval"]["threshold"], cfg["retrieval"]["cap"],
             _featurizer(cfg).caption_featurizer(base.vocab))
     elif tcfg.use_reg == "generated":
-        category = merge.extract_target_words(target_caption)[0]
+        words = merge.extract_target_words(target_caption)
+        if not words:
+            raise InvalidInput(f"{args.concept}: caption {examples[0].caption!r} names no category")
         reg = datamod.generate_regularization(
-            base, category, cfg["retrieval"]["cap"], tcfg.seed, sched,
+            base, words[0], cfg["retrieval"]["cap"], tcfg.seed, sched,
             steps=_sampler_steps(args, cfg, sched), scale=cfg["sampler"]["scale"])
     report = finetune.finetune(base, [(examples, modifier)], tcfg, reg, sched)
     checkpoint.save_model(args.out, report.model, sched, kind=checkpoint.KIND_BASE)
@@ -179,17 +181,17 @@ def cmd_analyze(args, cfg):
 def cmd_eval(args, cfg):
     model, sched = checkpoint.load_model(args.model)
     targets = datamod.load_dataset(args.targets)
-    validation = datamod.load_dataset(args.validation) if args.validation else None
+    validation = datamod.load_dataset(args.validation) if args.validation is not None else None
     if not targets or args.num < 1:
         raise InvalidInput("eval needs at least one target image and --num >= 1")
-    if validation and min(len(validation), args.num) < 2:
+    if validation is not None and min(len(validation), args.num) < 2:
         raise InvalidInput("KID against --validation needs 2 or more images on each side")
     generated = diffusion.sample_prompt(model, args.prompt, args.num, args.seed, sched,
                                         _sampler_steps(args, cfg, sched),
                                         cfg["sampler"]["scale"])
     _write_json(args.out, evaluation.model_metrics(
         generated, [t.image for t in targets], args.prompt, _featurizer(cfg), model.vocab,
-        validation=[v.image for v in validation] if validation else None))
+        validation=None if validation is None else [v.image for v in validation]))
     return [args.out]
 
 

@@ -1,9 +1,9 @@
-"""Experiment configuration: the one table of defaults, JSON loading, strict
-validation.
+"""Experiment configuration: the one table of defaults, the one table of
+rules (`_VALIDATORS`, applied by `check_section`), JSON loading.
 
 Library signatures and dataclasses (`ModelConfig`, `NoiseSchedule.linear`,
-`FineTuneConfig`, `pretrain`, `ReferenceFeaturizer`) take their defaults
-from `DEFAULT_CONFIG`, so the CLI and the library cannot disagree."""
+`FineTuneConfig`, `pretrain`, `ReferenceFeaturizer`) take their defaults from
+`DEFAULT_CONFIG`, and the library checks values with `check_section` too."""
 
 import copy
 import hashlib
@@ -26,19 +26,20 @@ DEFAULT_CONFIG = {
     "featurizer": {"feature_dim": 16, "seed": 1234},
 }
 
+# the one rule table: (section, key) -> (check, what the value must be)
 _VALIDATORS = {
-    **{("model", k): lambda v, k=k: v >= 1 or f"model.{k} must be >= 1"
-       for k in DEFAULT_CONFIG["model"]},
-    ("sampler", "steps"): lambda v: v >= 1 or "sampler.steps must be >= 1",
-    ("sampler", "scale"): lambda v: v >= 0 or "sampler.scale must be >= 0",
-    ("schedule", "T"): lambda v: v >= 1 or "schedule.T must be >= 1",
-    ("train", "learning_rate"): lambda v: v > 0 or "train.learning_rate must be > 0",
-    # balanced_batches needs a batch of 2 or more
-    ("train", "batch"): lambda v: v >= 2 or "train.batch must be >= 2",
-    ("pretrain", "batch"): lambda v: v >= 2 or "pretrain.batch must be >= 2",
-    ("pretrain", "cond_dropout"):
-        lambda v: 0 <= v <= 1 or "pretrain.cond_dropout must be in [0,1]",
-    ("retrieval", "threshold"): lambda v: 0 <= v <= 1 or "retrieval.threshold must be in [0,1]",
+    **{("model", k): (lambda v: v >= 1, ">= 1") for k in DEFAULT_CONFIG["model"]},
+    ("sampler", "steps"): (lambda v: v >= 1, ">= 1"),
+    ("sampler", "scale"): (lambda v: v >= 0, ">= 0"),
+    ("schedule", "T"): (lambda v: v >= 1, ">= 1"),
+    **{(s, "learning_rate"): (lambda v: v > 0, "> 0") for s in ("train", "pretrain")},
+    ("train", "trainable_scope"): (lambda v: v in ("kv_only", "all_unet"), "kv_only or all_unet"),
+    ("train", "use_reg"): (lambda v: v in ("retrieved", "generated", "none"),
+                           "retrieved, generated or none"),
+    # data.balanced_batches needs a batch of 2 or more
+    **{(s, "batch"): (lambda v: v >= 2, ">= 2") for s in ("train", "pretrain")},
+    ("pretrain", "cond_dropout"): (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("retrieval", "threshold"): (lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
 
@@ -124,31 +125,30 @@ def _merge_checked(base, override, path=()):
         raise InvalidInput(f"{'.'.join(path) or 'the configuration'} must be a table")
     out = copy.deepcopy(base)
     for key, value in override.items():
-        dotted = ".".join(path + (key,))
         if key not in base:
-            raise InvalidInput(f"unknown configuration key: {dotted}")
-        if isinstance(base[key], dict):
-            out[key] = _merge_checked(base[key], value, path + (key,))
-            continue
-        check, what = _KINDS[type(base[key])]
-        if not check(value):
-            raise InvalidInput(f"{dotted} must be {what}, got {value!r}")
-        out[key] = value
+            raise InvalidInput(f"unknown configuration key: {'.'.join(path + (key,))}")
+        out[key] = (_merge_checked(base[key], value, path + (key,))
+                    if isinstance(base[key], dict) else value)
     return out
+
+
+def check_section(section, values):
+    """Check `values`, a mapping of some keys of config `section`: each value
+    must have its default's kind (`_KINDS`) and pass its `_VALIDATORS` rule."""
+    for key, value in values.items():
+        for check, what in (_KINDS[type(DEFAULT_CONFIG[section][key])],
+                            _VALIDATORS.get((section, key), (lambda v: True, ""))):
+            if not check(value):
+                raise InvalidInput(f"{section}.{key} must be {what}, got {value!r}")
 
 
 def load_config(path=None, overrides=None):
     """Defaults, overlaid by the JSON file, overlaid by explicit overrides.
     Unknown keys are rejected with the offending key named."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        cfg = _merge_checked(cfg, read_json(path, "config"))
-    if overrides:
-        cfg = _merge_checked(cfg, overrides)
-    for (section, key), check in _VALIDATORS.items():
-        result = check(cfg[section][key])
-        if result is not True:
-            raise InvalidInput(result)
+    cfg = _merge_checked(DEFAULT_CONFIG, {} if path is None else read_json(path, "config"))
+    cfg = _merge_checked(cfg, overrides or {})
+    for section, values in cfg.items():
+        check_section(section, values)
     if cfg["sampler"]["steps"] > cfg["schedule"]["T"]:
         raise InvalidInput("sampler.steps cannot exceed schedule.T")
     return cfg

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffusion, textmod
-from .config import read_json
+from .config import check_section, read_json
 from .errors import EmptyRegularizationSetWarning, InvalidInput
 
 
@@ -49,8 +49,7 @@ def save_dataset(examples, path):
 def retrieve_regularization(pool, target_caption, threshold, cap, text_featurizer):
     """Keep pool entries whose caption feature has cosine similarity >= threshold
     to the target caption, top-`cap` by descending similarity."""
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidInput("threshold must lie in [0, 1]")
+    check_section("retrieval", {"threshold": threshold, "cap": cap})
     target = np.asarray(text_featurizer(target_caption), dtype=np.float64)
     target = target / max(np.linalg.norm(target), 1e-300)
     scored = []
@@ -128,8 +127,7 @@ def balanced_batches(targets, reg, batch, rng):
     Targets are oversampled with replacement. With an empty regularization
     set the batches are all-target (the w/o-reg ablation).
     """
-    if batch < 2:
-        raise InvalidInput("batch must be >= 2")
+    check_section("train", {"batch": batch})
     if not targets:
         raise InvalidInput("the target set is empty")
     reg_examples = reg.examples if reg is not None else []

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoiser, textmod
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, check_section
 from .errors import InvalidInput, NumericalFailure
 
 
@@ -28,8 +28,7 @@ class NoiseSchedule:
     @classmethod
     def linear(cls, T=_SCHEDULE["T"], beta_start=_SCHEDULE["beta_start"],
                beta_end=_SCHEDULE["beta_end"]):
-        if T < 1:
-            raise InvalidInput("T must be >= 1")
+        check_section("schedule", {"T": T, "beta_start": beta_start, "beta_end": beta_end})
         # betas are tuned for 1000-step chains; rescaling keeps alpha_bar_T
         # comparable when running shorter chains.
         betas = np.linspace(beta_start, beta_end, T) * (1000.0 / T)
@@ -73,8 +72,7 @@ def masked_loss(eps, eps_pred, mask):
 
 def sampling_timesteps(T, steps):
     """Descending, deduplicated timestep ladder for a respaced reverse chain."""
-    if steps < 1:
-        raise InvalidInput("steps must be >= 1")
+    check_section("sampler", {"steps": steps})
     if steps > T:
         raise InvalidInput(f"steps ({steps}) cannot exceed chain length T ({T})")
     ts = np.unique(np.round(np.linspace(1, T, steps)).astype(int))
@@ -91,8 +89,7 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     range [-1, 1]. The steps share one denoiser workspace. Deterministic for
     a fixed seed.
     """
-    if scale < 0:
-        raise InvalidInput("scale must be non-negative")
+    check_section("sampler", {"scale": scale})
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
     if scale != 1.0 and uncond is None:

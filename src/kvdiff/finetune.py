@@ -9,7 +9,7 @@ import numpy as np
 
 from . import data as datamod
 from . import denoiser, diffusion, textmod
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, check_section
 from .denoiser import KV_ROLES
 from .errors import DivergenceError, InvalidInput, NumericalFailure
 
@@ -33,16 +33,7 @@ class FineTuneConfig:
     cond_dropout: float = 0.0
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise InvalidInput("steps must be >= 0")
-        if self.learning_rate <= 0:
-            raise InvalidInput("learning_rate must be positive")
-        if self.batch < 2:
-            raise InvalidInput("batch must be >= 2")
-        if self.trainable_scope not in (SCOPE_KV_ONLY, SCOPE_ALL):
-            raise InvalidInput(f"unknown scope {self.trainable_scope!r}")
-        if self.use_reg not in ("retrieved", "generated", "none"):
-            raise InvalidInput(f"unknown use_reg {self.use_reg!r}")
+        check_section("train", {k: getattr(self, k) for k in _TRAIN})
 
 
 @dataclass
@@ -54,11 +45,8 @@ class TrainReport:
 def trainable_set(model, scope):
     """Registry keys updated under the given scope. Modifier embeddings are
     handled separately from the registry."""
-    if scope == SCOPE_ALL:
-        return set(model.params.keys())
-    if scope == SCOPE_KV_ONLY:
-        return {k for k in model.params if k.role in KV_ROLES}
-    raise InvalidInput(f"unknown scope {scope!r}")
+    check_section("train", {"trainable_scope": scope})
+    return {k for k in model.params if scope == SCOPE_ALL or k.role in KV_ROLES}
 
 
 def sgd_step(params, grads, lr):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, textmod
 from .denoiser import KV_ROLES
-from .errors import DegenerateRegularization, InvalidInput, SingularTargetSystem
+from .errors import DegenerateRegularization, InvalidInput, SingularTargetSystem, UnknownToken
 
 
 def as_matrix(a, name):
@@ -146,15 +146,20 @@ def extract_target_words(caption):
     return [w for w in caption.split() if w not in textmod.TEMPLATE_WORDS]
 
 
-def _target_rows(vocab_list, captions_per_concept):
-    """Build (C rows, owners). Exact duplicate rows within a concept are
-    dropped; the same row owned by two concepts is a conflict."""
+def _target_rows(vocab, captions_per_concept, modifiers_per_concept):
+    """Build (C rows, owners) from `vocab`, which holds every concept's
+    modifiers. Concept n's captions may not name another concept's modifier
+    (modifiers_per_concept[n] are its own). Exact duplicate rows within a
+    concept are dropped; the same row owned by two concepts is a conflict."""
+    everyone = set().union(*modifiers_per_concept)
     rows = []
     owners = []
     seen = {}
-    for n, (vocab, captions) in enumerate(zip(vocab_list, captions_per_concept)):
+    for n, (captions, own) in enumerate(zip(captions_per_concept, modifiers_per_concept)):
         for caption in captions:
             for word in extract_target_words(caption):
+                if word in everyone and word not in own:
+                    raise UnknownToken(word)
                 feat = vocab.embeddings[vocab.index(word)].copy()
                 key = feat.tobytes()
                 if key in seen:
@@ -190,12 +195,12 @@ class MergeOutcome:
 def merge_model(base, deltas, captions_per_concept, reg_captions):
     """Merge N fine-tuned K/V deltas into one model via the constrained solve.
 
-    deltas: list of DeltaCheckpoint (dense or low-rank), each applied to the
-    base with `analysis.apply_delta`, which checks its architecture. No two
-    deltas may carry the same modifier token.
+    deltas: list of DeltaCheckpoint (dense or low-rank), each read as base +
+    delta by `analysis.delta_weights`, which checks its architecture; only the
+    merged model copies the base. No two deltas may share a modifier token.
     captions_per_concept: one caption list per delta, whose content words
-    (modifier + category) define the constraint rows. reg_captions: caption
-    pool providing C_reg.
+    (modifier + category, base words or the delta's own modifiers) define the
+    constraint rows. reg_captions: caption pool providing C_reg.
 
     The objective and the constraints separate by output row, and every K/V
     matrix shares C and C_reg, so the rows of all of them are stacked into
@@ -205,24 +210,25 @@ def merge_model(base, deltas, captions_per_concept, reg_captions):
         raise InvalidInput("need one caption list per delta")
     if any(role not in KV_ROLES for delta in deltas for _, role in delta.entries):
         raise InvalidInput("only cross-attention K/V deltas can be merged")
-    names = [name for delta in deltas for name, _ in delta.modifier_embeddings]
+    owned = [[name for name, _ in delta.modifier_embeddings] for delta in deltas]
+    names = sum(owned, [])
     shared = [name for name in names if names.count(name) > 1]
     if shared:
         raise InvalidInput(f"modifier token {shared[0]!r} is carried by more than one delta")
-    concepts = [analysis.apply_delta(base, delta) for delta in deltas]
+    concepts = [analysis.delta_weights(base, delta) for delta in deltas]
     merged = base.clone()
     # register every concept's tuned modifier embedding in the merged vocab
     for delta in deltas:
         for name, emb in delta.modifier_embeddings:
             textmod.register_modifier_with_embedding(merged.vocab, name, emb)
 
-    c_rows, owners = _target_rows([m.vocab for m in concepts], captions_per_concept)
+    c_rows, owners = _target_rows(merged.vocab, captions_per_concept, owned)
     creg = reg_feature_rows(base.vocab, reg_captions)
 
     keys = [k for k in base.params.sorted_keys() if k.role in KV_ROLES]
     problem = MergeProblem(w0=np.vstack([base.params[k] for k in keys]),
-                           concept_weights=[np.vstack([m.params[k] for k in keys])
-                                            for m in concepts],
+                           concept_weights=[np.vstack([w.get(k, base.params[k]) for k in keys])
+                                            for w in concepts],
                            target_features=c_rows, owners=owners, reg_features=creg)
     sol = solve_closed_form(problem)
     ends = np.cumsum([base.params[k].shape[0] for k in keys])

@@ -163,6 +163,52 @@ def test_finetune_image_size_is_checked_before_regularization(tmp_path, cli_inpu
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("caption", ["photo of a <new1>", "photo of a", "<new1>", ""])
+def test_generated_regularization_without_a_category_word_exits_2(
+        tmp_path, cli_inputs, capsys, monkeypatch, caption):
+    """Generated regularization samples "photo of a <category>", so a concept
+    caption that names no category word exits 2 before any image is sampled."""
+    calls = []
+    monkeypatch.setattr(diffusion, "sample_cfg", lambda *a, **k: calls.append(a))
+    rows = json.loads((cli_inputs / "concept_blob.json").read_text())
+    for row in rows:
+        row["caption"] = caption
+    concept = tmp_path / "concept.json"
+    concept.write_text(json.dumps(rows))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"steps": 1, "use_reg": "generated"},
+                               "retrieval": {"cap": 2}, "sampler": {"steps": 2}}))
+    out = tmp_path / "tuned.ckpt"
+    rc = run_command(["finetune", "--config", str(cfg), "--model", str(cli_inputs / "base.ckpt"),
+                      "--concept", str(concept), "--modifier", "<new1>", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "names no category" in err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("n_validation", [0, 1])
+def test_eval_with_fewer_than_two_validation_images_exits_2(
+        tmp_path, cli_inputs, capsys, monkeypatch, n_validation):
+    """KID needs 2 or more images on each side; an empty validation set is
+    refused too, rather than scored, before any image is sampled."""
+    calls = []
+    monkeypatch.setattr(denoiser, "forward", lambda *a: calls.append(a))
+    rows = json.loads((cli_inputs / "concept_blob.json").read_text())
+    validation = tmp_path / "validation.json"
+    validation.write_text(json.dumps(rows[:n_validation]))
+    out = tmp_path / "metrics.json"
+    argv = _argv(cli_inputs, "eval")
+    argv[argv.index("--num") + 1] = "4"
+    argv[argv.index("--out") + 1] = str(out)
+    assert run_command(argv + ["--validation", str(validation)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "2 or more images" in err
+    assert calls == [] and not out.exists()
+
+
 def test_retrieve_reg_writes_artifact_and_manifest(tmp_path, fixture_dir):
     out = str(tmp_path / "reg.json")
     rc = run_command(["retrieve-reg",

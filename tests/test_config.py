@@ -133,7 +133,9 @@ def test_mutated_config_loads_or_fails_with_invalid_input(config_dir, leaf, valu
     ("pretrain", "cond_dropout", "q"), ("pretrain", "cond_dropout", 1.5),
     ("sampler", "scale", None), ("schedule", "beta_end", "z"), ("model", "d_model", -1),
     ("model", "blocks", 0), ("train", "seed", -1), ("train", "use_aug", "yes"),
-    ("retrieval", "cap", -1),
+    ("retrieval", "cap", -1), ("train", "trainable_scope", "xyz"),
+    ("train", "use_reg", "imagined"), ("pretrain", "learning_rate", 0),
+    ("pretrain", "learning_rate", -1.0),
     pytest.param("pretrain", "learning_rate", 10 ** 400, id="pretrain-learning_rate-10**400")])
 def test_config_value_of_the_wrong_kind_exits_2(tmp_path, capsys, section, key, value):
     path = tmp_path / "cfg.json"

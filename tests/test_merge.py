@@ -6,8 +6,9 @@ import pytest
 
 from kvdiff import analysis, data as datamod, diffusion, finetune, merge, textmod
 from kvdiff.denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
-from kvdiff.errors import (DegenerateRegularization, InvalidInput,
-                           SingularTargetSystem)
+from kvdiff.denoiser import DenoiserNet
+from kvdiff.errors import (DegenerateRegularization, InvalidInput, KVDiffError,
+                           SingularTargetSystem, UnknownToken)
 
 
 def _problem(seed=0, o=3, d=5, s=2, s_reg=8):
@@ -88,33 +89,40 @@ def test_extract_target_words():
 
 
 def _two_concept_vocabs():
+    """The base vocabulary, and a copy holding both concepts' modifiers."""
     base = textmod.build_vocabulary(
         ["photo", "of", "a", "blob", "ring", "sks", "pkz"],
         {"blob": 300, "ring": 280, "sks": 7, "pkz": 6}, dim=4, seed=2)
-    v1 = base.clone()
-    textmod.register_modifier(v1, "<new1>")
-    v2 = base.clone()
-    textmod.register_modifier(v2, "<new2>", source="pkz")
-    return base, v1, v2
+    merged = base.clone()
+    textmod.register_modifier(merged, "<new1>")
+    textmod.register_modifier(merged, "<new2>", source="pkz")
+    return base, merged
+
+
+MODIFIERS = [{"<new1>"}, {"<new2>"}]
 
 
 def test_target_rows_dedup_and_conflict():
-    base, v1, v2 = _two_concept_vocabs()
+    _, vocab = _two_concept_vocabs()
     rows, owners = merge._target_rows(
-        [v1, v2], [["photo of a <new1> blob", "photo of a <new1> blob"],
-                   ["photo of a <new2> ring"]])
+        vocab, [["photo of a <new1> blob", "photo of a <new1> blob"],
+                ["photo of a <new2> ring"]], MODIFIERS)
     assert rows.shape == (4, 4)            # duplicate caption collapsed
     assert owners == [0, 0, 1, 1]
     # the same word claimed by both concepts is ambiguous
     with pytest.raises(InvalidInput):
-        merge._target_rows([v1, v2], [["photo of a <new1> blob"],
-                                      ["photo of a <new2> blob"]])
+        merge._target_rows(vocab, [["photo of a <new1> blob"],
+                                   ["photo of a <new2> blob"]], MODIFIERS)
     with pytest.raises(InvalidInput):
-        merge._target_rows([v1], [["photo of a"]])    # template words only
+        merge._target_rows(vocab, [["photo of a"]], [set()])    # template words only
+    # a concept's captions may not name another concept's modifier
+    with pytest.raises(UnknownToken):
+        merge._target_rows(vocab, [["photo of a <new2> blob"],
+                                   ["photo of a <new2> ring"]], MODIFIERS)
 
 
 def test_reg_feature_rows():
-    base, _, _ = _two_concept_vocabs()
+    base, _ = _two_concept_vocabs()
     rows = merge.reg_feature_rows(base, ["photo of a blob", "photo of a ring"])
     # each caption contributes start token + 4 words
     assert rows.shape == (10, 4)
@@ -141,13 +149,12 @@ def _assert_merge_meets_oracle(base, outcome, deltas, captions, reg_captions):
     """Every merged K/V matrix meets W C^T = V and the KKT oracle, with each
     concept's weights rebuilt from its (dense or low-rank) delta; every other
     matrix is the base's, bit for bit."""
-    vocabs = []
+    vocab = base.vocab.clone()
     for delta in deltas:
-        vocab = base.vocab.clone()
         for name, emb in delta.modifier_embeddings:
             textmod.register_modifier_with_embedding(vocab, name, emb)
-        vocabs.append(vocab)
-    c_rows, owners = merge._target_rows(vocabs, captions)
+    c_rows, owners = merge._target_rows(
+        vocab, captions, [{name for name, _ in d.modifier_embeddings} for d in deltas])
     creg = merge.reg_feature_rows(base.vocab, reg_captions)
     for key in base.params.sorted_keys():
         w_hat = outcome.model.params[key]
@@ -185,6 +192,27 @@ def test_merge_model_on_two_fine_tuned_deltas(tiny_model):
         assert all(np.any(e.dense != 0) for e in delta.entries.values())
     assert len(outcome.solutions) == 1
     assert sorted(outcome.model.vocab.modifiers) == ["<new1>", "<new2>"]
+
+
+def test_merge_model_clones_only_the_merged_model(tiny_model, monkeypatch):
+    deltas = _two_real_deltas(tiny_model)
+    clone, calls = DenoiserNet.clone, []
+    monkeypatch.setattr(DenoiserNet, "clone",
+                        lambda self: calls.append(self) or clone(self))
+    outcome = merge.merge_model(tiny_model, deltas, CAPTIONS, REG_CAPTIONS)
+    assert len(calls) == 1 and calls[0] is tiny_model
+    _assert_merge_meets_oracle(tiny_model, outcome, deltas, CAPTIONS, REG_CAPTIONS)
+
+
+def test_merge_rejects_a_caption_naming_another_deltas_modifier(tiny_model, monkeypatch):
+    """The merged vocabulary holds every delta's modifier, but a concept's
+    captions may name only base words and its own delta's modifiers."""
+    deltas = _two_real_deltas(tiny_model)
+    monkeypatch.setattr(merge, "solve_closed_form", lambda p: pytest.fail("solved"))
+    with pytest.raises(KVDiffError, match="<new2>"):
+        merge.merge_model(tiny_model, deltas,
+                          [["photo of a <new1> blob", "photo of a <new2> blob"],
+                           ["photo of a <new2> ring"]], REG_CAPTIONS)
 
 
 def test_merge_rejects_two_deltas_with_one_modifier_token(tiny_model, monkeypatch):
