@@ -146,7 +146,8 @@ class DenoiserNet:
     def predict(self, x_t, t, c):
         """Predicted noise for one image x_t at step t under caption features
         c: forward() on a batch of one."""
-        eps, _ = forward(self, np.asarray(x_t, dtype=np.float64)[None], (t,), (c,))
+        eps, _ = forward(self, np.asarray(x_t, dtype=np.float64)[None], (t,),
+                         context(self, (c,)))
         return eps[0]
 
     def clone(self):
@@ -180,50 +181,60 @@ def _attn_forward(f, c, wq, wk, wv, key_bias=None, ws=None):
     0 for a real key and -inf for padding, which gets exactly zero weight.
     The projections run as 2-D matmuls over all rows of the batch; the cache
     holds f, c and the output h as such rows, (B*N, D), (B*S, Dc), (B*N, dp),
-    and the queries scaled by 1/sqrt(dp). Its arrays other than f and c are
-    those of the workspace `ws` (a fresh one when None)."""
+    and the queries scaled by 1/sqrt(dp). It holds the attention weights
+    key-major, a (B, S, N) with a[b, j, i] the weight of key j for query i,
+    so the softmax reduces across the S rows of a and broadcasts along its
+    contiguous query axis. Its arrays other than f and c are those of the
+    workspace `ws` (a fresh one when None)."""
     ws = {} if ws is None else ws
+    b, s = c.shape[:2]
+    c = c.reshape(b * s, -1)
+    k = _mm(ws, "k", c, wk.T).reshape(b, s, -1)
+    v = _mm(ws, "v", c, wv.T).reshape(b, s, -1)
+    return _attend(f, c, wq, k, v, key_bias, ws)
+
+
+def _attend(f, c, wq, k, v, key_bias, ws):
+    """_attn_forward() with the keys k and values v (B, S, dp) of the rows c
+    already projected, as a caption context holds them."""
     b, n, _ = f.shape
-    s = c.shape[1]
-    f, c = f.reshape(b * n, -1), c.reshape(b * s, -1)
+    f = f.reshape(b * n, -1)
     q = _mm(ws, "q", f, wq.T)
     q *= wq.shape[0] ** -0.5
     q = q.reshape(b, n, -1)
-    k = _mm(ws, "k", c, wk.T).reshape(b, s, -1)
-    v = _mm(ws, "v", c, wv.T).reshape(b, s, -1)
-    a = _mm(ws, "a", q, k.transpose(0, 2, 1))
+    # logits k q^T, and the softmax over the keys in place
+    a = _mm(ws, "a", k, q.transpose(0, 2, 1))
     if key_bias is not None:
-        a += key_bias[:, None, :]
-    # softmax over the keys, in place
-    a -= a.max(axis=2, keepdims=True)
+        a += key_bias[:, :, None]
+    a -= a.max(axis=1, keepdims=True)
     np.exp(a, out=a)
-    a /= a.sum(axis=2, keepdims=True)
+    a /= a.sum(axis=1, keepdims=True)
     return {"f": f, "c": c, "q": q, "k": k, "v": v, "a": a,
-            "h": _mm(ws, "h", a, v).reshape(b * n, -1)}
+            "h": _mm(ws, "h", a.transpose(0, 2, 1), v).reshape(b * n, -1)}
 
 
 def _attn_backward(cache, dout, keys, p, want, grads, ws):
-    """Backprop through one attention sublayer, h = A V and its output
-    projection, for dout given as rows like the cache's f. keys are the
-    sublayer's (q, k, v, out) registry keys; each one in `want` gets its
-    gradient, summed over the batch, stored in grads. Returns (df, dc) as
-    rows, both arrays of the scratch workspace `ws`."""
+    """Backprop through one attention sublayer, h = A^T V with A key-major,
+    and its output projection, for dout given as rows like the cache's f.
+    keys are the sublayer's (q, k, v, out) registry keys; each one in `want`
+    gets its gradient, summed over the batch, stored in grads. Returns
+    (df, dc) as rows, both arrays of the scratch workspace `ws`."""
     kq, kk, kv, ko = keys
     if ko in want:
         grads[ko] = dout.T @ cache["h"]
     a, q, k, v, f, c = cache["a"], cache["q"], cache["k"], cache["v"], cache["f"], cache["c"]
     scale = q.shape[-1] ** -0.5
     dh = _mm(ws, "dh", dout, p[ko]).reshape(q.shape)
-    dv = _mm(ws, "dv", a.transpose(0, 2, 1), dh)
-    # dz = A * (dA - rowsum(dA * A)) with dA = dh V^T, computed in place;
-    # rowsum(dA * A) = rowsum(dh * h) since h = A V
-    dz = _mm(ws, "dz", dh, v.transpose(0, 2, 1))
+    dv = _mm(ws, "dv", a, dh)
+    # dz = A * (dA - colsum(dA * A)) with dA = V dh^T, key-major like A and
+    # computed in place; colsum(dA * A) = rowsum(dh * h) since h = A^T V
+    dz = _mm(ws, "dz", v, dh.transpose(0, 2, 1))
     dhh = np.multiply(dh, cache["h"].reshape(q.shape), out=_buf(ws, "dhh", q.shape))
-    dz -= np.sum(dhh, axis=2, keepdims=True)
+    dz -= np.sum(dhh, axis=2)[:, None, :]
     dz *= a
-    dq = _mm(ws, "dq", dz, k).reshape(f.shape[0], -1)
+    dq = _mm(ws, "dq", dz.transpose(0, 2, 1), k).reshape(f.shape[0], -1)
     dq *= scale
-    dk = _mm(ws, "dk", dz.transpose(0, 2, 1), q).reshape(c.shape[0], -1)
+    dk = _mm(ws, "dk", dz, q).reshape(c.shape[0], -1)
     dv = dv.reshape(c.shape[0], -1)
     for key, dy, x in ((kq, dq, f), (kk, dk, c), (kv, dv, c)):
         if key in want:
@@ -243,17 +254,60 @@ def _block_keys(l):
     return cross, self_attn, (ParamKey(l, ROLE_OTHER, "mlp_w1"), ParamKey(l, ROLE_OTHER, "mlp_w2"))
 
 
-def forward(model, x_t, t, c, workspace=None):
-    """Forward pass over a batch: x_t (B, H, W), t holds B timesteps and c is
-    a list of B caption-feature arrays (s_b, d_text), s_b >= 1. Captions are
-    padded to the longest one; padded keys get zero attention weight. The
-    features of all B images run as one (B*h*w, d_model) array of rows.
+class Context(NamedTuple):
+    """B captions as forward() reads them: their features padded to the
+    longest, c (B, S, d_text); each caption's length; key_bias (B, S), 0 for
+    a real key and -inf for padding (None when no caption is padded); and
+    each block's cross-attention keys and values, kv[l - 1] = (k, v), each
+    (B, S, d_attn)."""
+    c: np.ndarray
+    lengths: list
+    key_bias: np.ndarray
+    kv: tuple
+
+
+def context(model, captions):
+    """The Context of a list of B >= 1 caption-feature arrays (s_b, d_text),
+    s_b >= 1, projected with the model's current cross-attention K/V
+    weights. It is valid only for those weights: build a new one after any
+    update."""
+    cfg = model.config
+    c = [np.asarray(cb, dtype=np.float64) for cb in captions]
+    if not c or any(cb.ndim != 2 or cb.shape[0] < 1 or cb.shape[1] != cfg.d_text for cb in c):
+        raise InvalidInput(f"expected at least one caption, each of caption features "
+                           f"(s, {cfg.d_text}) with s >= 1")
+    lengths = [cb.shape[0] for cb in c]
+    bsz, s = len(c), max(lengths)
+    key_bias = None
+    if min(lengths) == s:
+        cpad = np.array(c)
+    else:
+        cpad = np.zeros((bsz, s, cfg.d_text))
+        for i, cb in enumerate(c):
+            cpad[i, :lengths[i]] = cb
+        key_bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, -np.inf)
+    rows = cpad.reshape(bsz * s, -1)
+    kv = tuple(tuple((rows @ model.params[key].T).reshape(bsz, s, -1)
+                     for key in _block_keys(l)[0][1:3])
+               for l in range(1, cfg.blocks + 1))
+    return Context(cpad, lengths, key_bias, kv)
+
+
+def forward(model, x_t, t, ctx, workspace=None):
+    """Forward pass over a batch: x_t (B, H, W), t holds B timesteps and ctx
+    is the Context of B captions, built by context() from the model's
+    current weights; a context built before a weight update is stale, and
+    InvalidInput is raised when it holds another number of captions than
+    x_t images. Padded keys get zero attention weight. The features of all
+    B images run as one (B*h*w, d_model) array of rows. Each attention
+    sublayer's cache holds its weights key-major, a (B, S, N) (see
+    _attn_forward()).
 
     `workspace` is a dict the caller keeps across calls (a fresh one when
     None): the pass writes its large arrays, and backward() its scratch
     arrays, into the workspace's arrays of the same shape, so a loop that
     keeps one allocates them once. The cache holds views into it, valid until
-    the next call with that workspace; eps never does.
+    the next call with that workspace, and into ctx; eps never does.
     Returns (eps (B, H, W), cache)."""
     cfg = model.config
     p = model.params
@@ -264,21 +318,10 @@ def forward(model, x_t, t, c, workspace=None):
                            f"with B >= 1, got {x_t.shape}")
     bsz, n, d = x_t.shape[0], cfg.n_tokens, cfg.d_model
     t = np.asarray(t)
-    if t.shape != (bsz,) or len(c) != bsz:
-        raise InvalidInput(f"expected {bsz} timesteps and {bsz} captions")
-    c = [np.asarray(cb, dtype=np.float64) for cb in c]
-    if any(cb.ndim != 2 or cb.shape[0] < 1 or cb.shape[1] != cfg.d_text for cb in c):
-        raise InvalidInput(f"caption features must be (s, {cfg.d_text}) with s >= 1")
-    lengths = [cb.shape[0] for cb in c]
-    s = max(lengths)
-    key_bias = None
-    if min(lengths) == s:
-        cpad = np.array(c)
-    else:
-        cpad = np.zeros((bsz, s, cfg.d_text))
-        for i, cb in enumerate(c):
-            cpad[i, :lengths[i]] = cb
-        key_bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, -np.inf)
+    if t.shape != (bsz,) or len(ctx.lengths) != bsz:
+        raise InvalidInput(f"expected {bsz} timesteps and a context of {bsz} captions, "
+                           f"got {t.shape} and {len(ctx.lengths)}")
+    crows = ctx.c.reshape(-1, cfg.d_text)
 
     x = x_t.reshape(-1)
     s_t = sinusoidal_embedding(t, d)
@@ -290,7 +333,7 @@ def forward(model, x_t, t, c, workspace=None):
     f3 += model.pos
     f3 += te[:, None, :]
 
-    cache = {"x": x, "s_t": s_t, "c": cpad, "lengths": lengths, "blocks": [], "ws": ws}
+    cache = {"x": x, "s_t": s_t, "c": ctx.c, "lengths": ctx.lengths, "blocks": [], "ws": ws}
     for l in range(1, cfg.blocks + 1):
         wb = ws.setdefault(l, {})
         bc = {}
@@ -298,10 +341,9 @@ def forward(model, x_t, t, c, workspace=None):
         # block (and any later blocks) rather than feeding the output
         # projection directly
         cross, self_attn, mlp = _block_keys(l)
-        cq, ck, cv, co = map(p.__getitem__, cross)
-        bc["ca"] = _attn_forward(f.reshape(bsz, n, d), cpad, cq, ck, cv, key_bias,
-                                 ws=wb.setdefault("ca", {}))
-        f1 = _mm(wb, "f1", bc["ca"]["h"], co.T)
+        bc["ca"] = _attend(f.reshape(bsz, n, d), crows, p[cross[0]], *ctx.kv[l - 1],
+                           ctx.key_bias, wb.setdefault("ca", {}))
+        f1 = _mm(wb, "f1", bc["ca"]["h"], p[cross[3]].T)
         f1 += f
         # self-attention
         sq, sk, sv, so = map(p.__getitem__, self_attn)
@@ -385,9 +427,11 @@ def backward(model, cache, d_eps, keys=None):
 
 def predict_eps_with_traces(model, x_t, t, c):
     """predict() that also returns each block's cross-attention weights,
-    each an (h*w, s) AttentionTrace read from the forward cache."""
-    eps, cache = forward(model, np.asarray(x_t, dtype=np.float64)[None], (t,), (c,))
-    return eps[0], [AttentionTrace(weights=bc["ca"]["a"][0].copy(), layer=l, timestep=int(t),
+    each an (h*w, s) AttentionTrace: a copy of the transposed key-major
+    weights of the forward cache."""
+    eps, cache = forward(model, np.asarray(x_t, dtype=np.float64)[None], (t,),
+                         context(model, (c,)))
+    return eps[0], [AttentionTrace(weights=bc["ca"]["a"][0].T.copy(), layer=l, timestep=int(t),
                                    grid=model.image_shape)
                     for l, bc in enumerate(cache["blocks"], start=1)]
 

@@ -1,5 +1,6 @@
 """DDPM forward process, noise-prediction loss, and guided ancestral sampling."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,9 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     denoiser.forward over both branches as a batch of two (the shorter
     caption padded); at scale == 1 the batch holds the conditional branch
     alone and uncond is never run. The predicted x0 is clipped to the image
-    range [-1, 1]. The steps share one denoiser workspace. Deterministic for
-    a fixed seed.
+    range [-1, 1]. The steps share one caption context, one batch buffer and
+    one denoiser workspace, and every step's coefficients are computed
+    before the first. Deterministic for a fixed seed.
     """
     check_section("sampler", {"scale": scale})
     if seed < 0:
@@ -96,29 +98,34 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
         raise InvalidInput("uncond features required when scale != 1")
     captions = (cond,) if scale == 1.0 else (cond, uncond)
     ts = sampling_timesteps(sched.T, steps)
-    # alpha-bar at each step and at the step after it, as Python floats;
-    # the chain ends at alpha_bar_at(0) == 1
+    # each step's coefficients as Python floats, from alpha-bar at the step
+    # and at the step after it; the chain ends at alpha_bar_at(0) == 1
     ab = sched.alpha_bar[ts - 1].tolist()
+    coefs = []
+    for ab_t, ab_p in zip(ab, ab[1:] + [1.0]):
+        beta_eff = 1.0 - ab_t / ab_p
+        coefs.append((math.sqrt(1.0 - ab_t), math.sqrt(ab_t),
+                      math.sqrt(ab_p) * beta_eff / (1.0 - ab_t),
+                      math.sqrt(ab_t / ab_p) * (1.0 - ab_p) / (1.0 - ab_t),
+                      beta_eff * (1.0 - ab_p) / (1.0 - ab_t)))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(model.image_shape)
+    ctx = denoiser.context(model, captions)
+    batch = np.empty((len(captions),) + x.shape)
     workspace = {}
-    for t, ab_t, ab_p in zip(ts.tolist(), ab, ab[1:] + [1.0]):
-        eps, _ = denoiser.forward(model, np.stack([x] * len(captions)),
-                                  (t,) * len(captions), captions, workspace)
+    for t, (sd_t, sa_t, coef_x0, coef_xt, var) in zip(ts.tolist(), coefs):
+        batch[:] = x
+        eps, _ = denoiser.forward(model, batch, (t,) * len(captions), ctx, workspace)
         eps_hat = eps[0] if scale == 1.0 else eps[1] + scale * (eps[0] - eps[1])
-        if not np.all(np.isfinite(eps_hat)):
+        if not np.isfinite(eps_hat).all():
             raise NumericalFailure(f"non-finite noise prediction at t={t}")
-        x0_hat = np.clip((x - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t), -1.0, 1.0)
-        beta_eff = 1.0 - ab_t / ab_p
-        coef_x0 = np.sqrt(ab_p) * beta_eff / (1.0 - ab_t)
-        coef_xt = np.sqrt(ab_t / ab_p) * (1.0 - ab_p) / (1.0 - ab_t)
+        x0_hat = np.clip((x - sd_t * eps_hat) / sa_t, -1.0, 1.0)
         mean = coef_x0 * x0_hat + coef_xt * x
-        var = beta_eff * (1.0 - ab_p) / (1.0 - ab_t)
         if var <= 0:        # the last step, where ab_p == 1
             x = mean
         else:
-            x = mean + np.sqrt(var) * rng.standard_normal(x.shape)
-        if not np.all(np.isfinite(x)):
+            x = mean + math.sqrt(var) * rng.standard_normal(x.shape)
+        if not np.isfinite(x).all():
             raise NumericalFailure(f"non-finite sample state at t={t}")
     return x
 

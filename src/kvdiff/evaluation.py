@@ -95,13 +95,14 @@ def kid(x_feats, y_feats):
 
 def model_metrics(generated, targets, prompt, feat, vocab, validation=None):
     """The metrics `kvdiff eval` writes: alignment scores, KID x 1000 against
-    a validation set (0 without one) and the sample count."""
-    kid_value = 0.0
+    a validation set (None without one, since no KID was measured) and the
+    sample count."""
+    kid_x1000 = None
     if validation is not None:
         xf = np.stack([feat.image_features(img) for img in generated])
         yf = np.stack([feat.image_features(img) for img in validation])
-        kid_value = kid(xf, yf)
+        kid_x1000 = kid(xf, yf) * 1e3
     return {"text_alignment": text_alignment(generated, prompt, feat, vocab),
             "image_alignment": image_alignment(generated, targets, feat),
-            "kid_x1000": kid_value * 1e3,
+            "kid_x1000": kid_x1000,
             "n": len(generated)}

@@ -69,6 +69,7 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
 
     examples: iterable of (AugmentedSample-or-ConceptExample). Each example
     draws, in order, its caption dropout, its timestep and its noise; then one
+    caption context is built from the model's current weights, and one
     forward and one backward pass run over the whole batch. Returns
     (loss, grads, emb_grads): grads maps each registry key in `keys` (every
     key when None) to its gradient, and emb_grads maps modifier token index to
@@ -92,7 +93,8 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
     n = len(draws)
     if n == 0:
         raise InvalidInput("empty batch")
-    eps_pred, cache = denoiser.forward(model, np.stack(x_t), ts, cs, workspace)
+    eps_pred, cache = denoiser.forward(model, np.stack(x_t), ts, denoiser.context(model, cs),
+                                       workspace)
     total_loss = 0.0
     d_pred = np.empty_like(eps_pred)
     for i, (eps, mask, _) in enumerate(draws):
@@ -183,6 +185,9 @@ def pretrain(vocab, dataset, model_cfg=None, sched=None, steps=_PRETRAIN["steps"
              init_seed=_PRETRAIN["init_seed"]):
     """Train a base model from scratch on a captioned dataset, with caption
     dropout so classifier-free guidance has a meaningful unconditional branch."""
+    check_section("pretrain", {"steps": steps, "learning_rate": learning_rate, "batch": batch,
+                               "seed": seed, "cond_dropout": cond_dropout,
+                               "init_seed": init_seed})
     model = denoiser.build_model(model_cfg, seed=init_seed, vocab=vocab.clone())
     cfg = FineTuneConfig(steps=steps, learning_rate=learning_rate, batch=batch,
                          trainable_scope=SCOPE_ALL, use_reg="none", use_aug=False,

@@ -121,7 +121,7 @@ def test_gradient_fidelity(capsys, pretrained, schedule):
         return np.mean((eps - pred) ** 2)
 
     c = textmod.encode_caption(model.vocab, seq)
-    pred, cache = denoiser.forward(model, x_t[None], [t], [c])
+    pred, cache = denoiser.forward(model, x_t[None], [t], denoiser.context(model, [c]))
     d_pred = -2.0 * (eps - pred[0]) / eps.size
     grads, (d_c,) = denoiser.backward(model, cache, d_pred[None])
 

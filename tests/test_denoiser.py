@@ -41,7 +41,8 @@ def test_cross_attention_matches_scalar_oracle():
     # the kernel forward() runs for both cross- and self-attention
     cache = denoiser._attn_forward(f[None], c[None], wq, wk, wv)
     np.testing.assert_allclose(cache["h"], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
-    np.testing.assert_allclose(cache["a"].sum(axis=2), np.ones((1, 5)), atol=1e-12)
+    # the weights are key-major, (B, S, N): each query's column sums to 1
+    np.testing.assert_allclose(cache["a"].sum(axis=1), np.ones((1, 5)), atol=1e-12)
     assert np.all(cache["a"] >= 0)
 
     # a batch of two whose second key set is padded: the padded keys get
@@ -54,8 +55,8 @@ def test_cross_attention_matches_scalar_oracle():
     # h holds the rows of both images, one after the other
     np.testing.assert_allclose(cache["h"][:5], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
     np.testing.assert_allclose(cache["h"][5:], _scalar_attention(f2, c2, wq, wk, wv), atol=1e-12)
-    assert np.all(cache["a"][1, :, 2] == 0.0)
-    np.testing.assert_allclose(cache["a"].sum(axis=2), np.ones((2, 5)), atol=1e-12)
+    assert np.all(cache["a"][1, 2] == 0.0)
+    np.testing.assert_allclose(cache["a"].sum(axis=1), np.ones((2, 5)), atol=1e-12)
 
 
 def test_forward_is_deterministic_and_validates_shapes(tiny_model):
@@ -63,20 +64,59 @@ def test_forward_is_deterministic_and_validates_shapes(tiny_model):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((cfg.height, cfg.width))
     c = rng.standard_normal((3, cfg.d_text))
-    a, _ = denoiser.forward(tiny_model, x[None], [2], [c])
-    b, _ = denoiser.forward(tiny_model, x[None], [2], [c])
+    ctx = denoiser.context(tiny_model, [c])
+    a, _ = denoiser.forward(tiny_model, x[None], [2], ctx)
+    b, _ = denoiser.forward(tiny_model, x[None], [2], ctx)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (1, cfg.height, cfg.width)
     np.testing.assert_array_equal(tiny_model.predict(x, 2, c), a[0])
-    for bad in [(x[None, :2], [2], [c]), (x[None], [2], [c[:, :2]]),
-                (x[None], [2], [c[:0]]), (x, [2], [c]), (x[None], [2, 3], [c]),
-                (x[None], [2], [c, c]), (x[:0], [], [])]:
+    # malformed captions are refused by context(), the rest by forward()
+    for bad in [[c[:, :2]], [c[:0]], [c[0]], []]:
+        with pytest.raises(InvalidInput):
+            denoiser.context(tiny_model, bad)
+    for bad in [(x[None, :2], [2], ctx), (x, [2], ctx), (x[None], [2, 3], ctx),
+                (x[:0], [], ctx)]:
         with pytest.raises(InvalidInput):
             denoiser.forward(tiny_model, *bad)
     with pytest.raises(InvalidInput):
         tiny_model.predict(x[:2], 2, c)
     with pytest.raises(InvalidInput):
         tiny_model.predict(x, 2, c[:, :2])
+
+
+def test_forward_refuses_a_context_of_another_batch_size(tiny_model):
+    cfg = tiny_model.config
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, cfg.height, cfg.width))
+    c = rng.standard_normal((3, cfg.d_text))
+    for captions, images in (([c], x), ([c, c, c], x), ([c, c], x[:1])):
+        with pytest.raises(InvalidInput, match="context of"):
+            denoiser.forward(tiny_model, images, [2] * len(images),
+                             denoiser.context(tiny_model, captions))
+
+
+def test_padded_guided_batch_matches_unpadded_batches_bit_for_bit(tiny_model):
+    """The guided step's batch, a caption and the 1-token unconditional one
+    padded to its length, gives each row the bytes of a batch of that row's
+    caption alone: a padded key's weight is exactly 0, so it adds exact
+    zeros to the key-major sums. The batches compared are all of 2, since
+    numpy runs a 1-row matmul as a matrix-vector product, which rounds
+    differently from the matrix product of more rows."""
+    vocab = tiny_model.vocab
+    cfg = tiny_model.config
+    rng = np.random.default_rng(8)
+    uncond = textmod.encode_caption(vocab, textmod.tokenize(vocab, ""))
+    for caption in ("photo of a blob", "a ring", "blob"):
+        cond = textmod.encode_caption(vocab, textmod.tokenize(vocab, caption))
+        x = rng.standard_normal((cfg.height, cfg.width))
+        pair = np.stack([x, x])
+        for t in (1, 17, 40):
+            eps, _ = denoiser.forward(tiny_model, pair, [t, t],
+                                      denoiser.context(tiny_model, [cond, uncond]))
+            for row, c in enumerate((cond, uncond)):
+                alone, _ = denoiser.forward(tiny_model, pair, [t, t],
+                                            denoiser.context(tiny_model, [c, c]))
+                assert eps[row].tobytes() == alone[row].tobytes(), (caption, t, row)
 
 
 def test_backward_matches_finite_differences(tiny_model):
@@ -92,7 +132,7 @@ def test_backward_matches_finite_differences(tiny_model):
         eps = tiny_model.predict(x, 3, c)
         return 0.5 * float(np.sum((eps - target) ** 2))
 
-    eps0, cache = denoiser.forward(tiny_model, x[None], [3], [c])
+    eps0, cache = denoiser.forward(tiny_model, x[None], [3], denoiser.context(tiny_model, [c]))
     grads, (d_c,) = denoiser.backward(tiny_model, cache, eps0 - target[None])
 
     h = 1e-6
@@ -135,13 +175,14 @@ def test_batched_forward_and_backward_match_batch_of_one(tiny_model):
     assert [len(c) for c in cs] == [1, 3, 6]
     d_eps = rng.standard_normal(x.shape)
 
-    eps, cache = denoiser.forward(tiny_model, x, ts, cs)
+    eps, cache = denoiser.forward(tiny_model, x, ts, denoiser.context(tiny_model, cs))
     grads, d_c = denoiser.backward(tiny_model, cache, d_eps)
     assert set(grads) == set(tiny_model.params)
     assert [g.shape for g in d_c] == [c.shape for c in cs]
     total = {k: np.zeros_like(v) for k, v in tiny_model.params.items()}
     for i in range(3):
-        eps1, cache1 = denoiser.forward(tiny_model, x[i:i + 1], ts[i:i + 1], cs[i:i + 1])
+        eps1, cache1 = denoiser.forward(tiny_model, x[i:i + 1], ts[i:i + 1],
+                                        denoiser.context(tiny_model, cs[i:i + 1]))
         np.testing.assert_allclose(eps[i], eps1[0], rtol=0, atol=1e-12)
         grads1, (d_c1,) = denoiser.backward(tiny_model, cache1, d_eps[i:i + 1])
         np.testing.assert_allclose(d_c[i], d_c1, rtol=0, atol=1e-12)
@@ -152,7 +193,7 @@ def test_batched_forward_and_backward_match_batch_of_one(tiny_model):
 
     kv = [k for k in tiny_model.params
           if k.role in (denoiser.ROLE_CROSS_KEY, denoiser.ROLE_CROSS_VALUE)]
-    _, cache = denoiser.forward(tiny_model, x, ts, cs)
+    _, cache = denoiser.forward(tiny_model, x, ts, denoiser.context(tiny_model, cs))
     only, d_c_only = denoiser.backward(tiny_model, cache, d_eps, keys=kv)
     assert set(only) == set(kv)
     for k in kv:

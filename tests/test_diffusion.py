@@ -118,9 +118,9 @@ def test_sample_cfg_determinism_and_guidance_branches(tiny_model, monkeypatch):
     batches = []
     inner = denoiser.forward
 
-    def counted(model, x_t, t, c, workspace):
+    def counted(model, x_t, t, ctx, workspace):
         batches.append(len(x_t))
-        return inner(model, x_t, t, c, workspace)
+        return inner(model, x_t, t, ctx, workspace)
 
     monkeypatch.setattr(denoiser, "forward", counted)
     diffusion.sample_cfg(tiny_model, cond, 5, 1.0, 9, sched)
@@ -129,6 +129,23 @@ def test_sample_cfg_determinism_and_guidance_branches(tiny_model, monkeypatch):
         diffusion.sample_cfg(tiny_model, cond, 5, 6.0, 9, sched)   # no uncond
     with pytest.raises(InvalidInput):
         diffusion.sample_cfg(tiny_model, cond, 5, -1.0, 9, sched, uncond=uncond)
+
+
+def test_sample_cfg_builds_one_context_per_sample(tiny_model, monkeypatch):
+    sched = diffusion.NoiseSchedule.linear(T=30)
+    cond, uncond = _captions(tiny_model, "photo of a blob")
+    built = []
+    inner = denoiser.context
+
+    def counted(model, captions):
+        built.append(len(captions))
+        return inner(model, captions)
+
+    monkeypatch.setattr(denoiser, "context", counted)
+    diffusion.sample_cfg(tiny_model, cond, 5, 6.0, 9, sched, uncond=uncond)
+    assert built == [2]
+    diffusion.sample_cfg(tiny_model, cond, 5, 1.0, 9, sched)
+    assert built == [2, 1]
 
 
 def test_sample_survives_a_later_sample(tiny_model):

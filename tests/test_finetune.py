@@ -49,6 +49,15 @@ def test_config_validation_and_round_trip():
         finetune.FineTuneConfig(steps=-1)
 
 
+@pytest.mark.parametrize("arg,value", [("learning_rate", 0.0), ("batch", 1), ("steps", -1),
+                                       ("cond_dropout", 1.5)])
+def test_pretrain_checks_its_arguments_as_pretrain_config(arg, value):
+    """A library pretrain() names the `pretrain` key it refuses, as the CLI
+    does, before it builds a model."""
+    with pytest.raises(InvalidInput, match=f"^pretrain\\.{arg} must be "):
+        finetune.pretrain(fixtures.fixture_vocab(), [], **{arg: value})
+
+
 def _examples(model, n=3, seed=0, modifier=None):
     rng = np.random.default_rng(seed)
     word = f"{modifier.name} blob" if modifier else "blob"
@@ -228,7 +237,7 @@ def test_training_with_and_without_a_workspace_is_byte_identical(tiny_model, mon
     inner = denoiser.forward
     # every step's forward pass with a fresh workspace of its own
     monkeypatch.setattr(denoiser, "forward",
-                        lambda model, x_t, t, c, workspace: inner(model, x_t, t, c))
+                        lambda model, x_t, t, ctx, workspace: inner(model, x_t, t, ctx))
     fresh = run()
     assert shared.loss_curve.tobytes() == fresh.loss_curve.tobytes()
     for k in tiny_model.params.sorted_keys():
