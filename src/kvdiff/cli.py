@@ -68,6 +68,7 @@ def _sampler_steps(args, cfg, sched):
 def cmd_pretrain(args, cfg):
     vocab = textmod.load_vocabulary(args.vocab)
     dataset = datamod.load_dataset(args.data)
+    _check_image_shape(args.data, dataset, (cfg["model"]["height"], cfg["model"]["width"]))
     sched = diffusion.NoiseSchedule.linear(**cfg["schedule"])
     model, _ = finetune.pretrain(vocab, dataset, model_cfg=ModelConfig(**cfg["model"]),
                                  sched=sched, **cfg["pretrain"])

@@ -5,7 +5,6 @@ Library signatures and dataclasses (`ModelConfig`, `NoiseSchedule.linear`,
 `FineTuneConfig`, `pretrain`, `ReferenceFeaturizer`) take their defaults from
 `DEFAULT_CONFIG`, and the library checks values with `check_section` too."""
 
-import copy
 import hashlib
 import json
 import sys
@@ -121,9 +120,11 @@ _KINDS = {bool: (lambda v: isinstance(v, bool), "true or false"),
 
 
 def _merge_checked(base, override, path=()):
+    """A new table: `base` overlaid by `override`. Each table is copied; the
+    values, all immutable, are shared."""
     if not isinstance(override, dict):
         raise InvalidInput(f"{'.'.join(path) or 'the configuration'} must be a table")
-    out = copy.deepcopy(base)
+    out = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
     for key, value in override.items():
         if key not in base:
             raise InvalidInput(f"unknown configuration key: {'.'.join(path + (key,))}")

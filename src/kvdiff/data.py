@@ -1,6 +1,7 @@
 """Concept datasets, regularization-set construction, resize augmentation,
 and balanced target/regularization batch streams."""
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -76,11 +77,29 @@ def generate_regularization(model, category, count, seed, sched, steps, scale):
                                        for img in images])
 
 
-def _nearest_resize(image, new_h, new_w):
-    h, w = image.shape
-    ri = np.floor(np.arange(new_h) * h / new_h).astype(int)
-    ci = np.floor(np.arange(new_w) * w / new_w).astype(int)
-    return image[np.ix_(ri, ci)]
+@functools.cache
+def _resize_plan(h, w, new_h, new_w, up):
+    """How augment() resizes an (h, w) image to (new_h, new_w) by nearest
+    neighbour: output pixel (i, j) of the resized image is source pixel
+    (floor(i h / new_h), floor(j w / new_w)). Up-scaled, the centered (h, w)
+    crop of the resized image is kept; down-scaled, the resized image is
+    pasted centered on an (h, w) canvas. Returns the flat source index of
+    each kept pixel, the canvas window it fills and the (h, w) valid mask,
+    both arrays read-only."""
+    rows = np.floor(np.arange(new_h) * h / new_h).astype(int)
+    cols = np.floor(np.arange(new_w) * w / new_w).astype(int)
+    if up:
+        top, left = (new_h - h) // 2, (new_w - w) // 2
+        rows, cols = rows[top:top + h], cols[left:left + w]
+        window = (slice(None), slice(None))
+    else:
+        top, left = (h - new_h) // 2, (w - new_w) // 2
+        window = (slice(top, top + new_h), slice(left, left + new_w))
+    src = rows[:, None] * w + cols
+    mask = np.zeros((h, w))
+    mask[window] = 1.0
+    src.flags.writeable = mask.flags.writeable = False
+    return src, window, mask
 
 
 def augment(sample, rng, ratio=None):
@@ -90,7 +109,9 @@ def augment(sample, rng, ratio=None):
     (caption suffixed "zoomed in"/"close up"); otherwise it is down-scaled by
     0.4-1.0x and pasted centered on a canvas of zeros, with "far away"/"very
     small" appended when the ratio drops below 0.6. The valid mask marks
-    exactly the pasted pixels. Pass `ratio` to force a specific scale.
+    exactly the pasted pixels; it is shared by every sample resized alike,
+    so it is read-only. Pass `ratio` to force a specific scale; any ratio
+    above 1 up-scales, even one that rounds to the image's own size.
     """
     h, w = sample.image.shape
     if ratio is None:
@@ -99,25 +120,17 @@ def augment(sample, rng, ratio=None):
         else:
             ratio = float(rng.uniform(0.4, 1.0))
     caption = sample.caption
-    if ratio > 1.0:
-        new_h, new_w = int(round(ratio * h)), int(round(ratio * w))
-        big = _nearest_resize(sample.image, new_h, new_w)
-        top, left = (new_h - h) // 2, (new_w - w) // 2
-        image = big[top:top + h, left:left + w]
-        mask = np.ones((h, w))
+    up = ratio > 1.0
+    new_h, new_w = max(int(round(ratio * h)), 1), max(int(round(ratio * w)), 1)
+    src, window, mask = _resize_plan(h, w, new_h, new_w, up)
+    image = np.zeros((h, w))
+    image[window] = sample.image.ravel()[src]
+    if up:
         suffix = ("zoomed in", "close up")[int(rng.integers(2))]
         caption = f"{caption} {suffix}"
-    else:
-        new_h, new_w = max(int(round(ratio * h)), 1), max(int(round(ratio * w)), 1)
-        small = _nearest_resize(sample.image, new_h, new_w)
-        image = np.zeros((h, w))
-        mask = np.zeros((h, w))
-        top, left = (h - new_h) // 2, (w - new_w) // 2
-        image[top:top + new_h, left:left + new_w] = small
-        mask[top:top + new_h, left:left + new_w] = 1.0
-        if ratio < 0.6:
-            suffix = ("far away", "very small")[int(rng.integers(2))]
-            caption = f"{caption} {suffix}"
+    elif ratio < 0.6:
+        suffix = ("far away", "very small")[int(rng.integers(2))]
+        caption = f"{caption} {suffix}"
     return AugmentedSample(image=image, caption=caption, valid_mask=mask, ratio=ratio)
 
 

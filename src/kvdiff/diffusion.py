@@ -48,27 +48,39 @@ class NoiseSchedule:
 
 
 def forward_noise(x0, t, eps, sched):
-    """x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
+    """x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps, for one image and one
+    timestep t, or for a batch x0 (B, H, W) with t holding one timestep per
+    image."""
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise InvalidInput(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
-    ab = sched.alpha_bar_at(t)
+    t = np.asarray(t)
+    if t.ndim == 0:
+        ab = sched.alpha_bar_at(int(t))
+    elif x0.ndim == 3 and t.shape == x0.shape[:1]:
+        ab = np.array([sched.alpha_bar_at(s) for s in t.tolist()])[:, None, None]
+    else:
+        raise InvalidInput(f"expected one timestep per image of {x0.shape}, got {t.shape}")
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
 def masked_loss(eps, eps_pred, mask):
-    """MSE restricted to pixels where mask == 1; used for valid-region training."""
+    """MSE restricted to pixels where mask == 1; used for valid-region
+    training. (B, H, W) inputs give an array of B losses, one per image;
+    inputs of any other shape give one float over all their pixels."""
     eps = np.asarray(eps, dtype=np.float64)
     eps_pred = np.asarray(eps_pred, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if not (eps.shape == eps_pred.shape == mask.shape):
         raise InvalidInput("shape mismatch in masked_loss")
-    total = mask.sum()
-    if total == 0:
+    axes = (1, 2) if eps.ndim == 3 else None
+    total = mask.sum(axis=axes)
+    if np.any(total == 0):
         raise InvalidInput("mask selects no pixels")
     diff = (eps - eps_pred) * mask
-    return float(np.sum(diff * diff) / total)
+    loss = np.sum(diff * diff, axis=axes) / total
+    return loss if axes else float(loss)
 
 
 def sampling_timesteps(T, steps):

@@ -67,45 +67,55 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
                     cond_dropout=0.0, keys=None, workspace=None):
     """Average loss and gradients over a batch of (image, caption, mask) draws.
 
-    examples: iterable of (AugmentedSample-or-ConceptExample). Each example
-    draws, in order, its caption dropout, its timestep and its noise; then one
-    caption context is built from the model's current weights, and one
-    forward and one backward pass run over the whole batch. Returns
-    (loss, grads, emb_grads): grads maps each registry key in `keys` (every
-    key when None) to its gradient, and emb_grads maps modifier token index to
-    the gradient of its embedding row. `workspace` is passed to
+    examples: iterable of (AugmentedSample-or-ConceptExample), each image of
+    the model's shape (InvalidInput otherwise). Each example in turn draws
+    its caption dropout, its timestep and its noise, and has its caption
+    tokenized and encoded; the rest runs once over the whole batch: the
+    noised images (diffusion.forward_noise), one caption context built from
+    the model's current weights, one forward pass, each image's masked loss
+    (diffusion.masked_loss) and its gradient, and one backward pass. The
+    batch loss is the mean of the per-image losses, added in example order.
+    Returns (loss, grads, emb_grads): grads maps each registry key in `keys`
+    (every key when None) to its gradient, and emb_grads maps modifier token
+    index to the gradient of its embedding row. `workspace` is passed to
     denoiser.forward; no returned array shares memory with it.
     """
     vocab = model.vocab
-    x_t, ts, cs, draws = [], [], [], []
-    for ex in examples:
+    examples = list(examples)
+    n = len(examples)
+    if n == 0:
+        raise InvalidInput("empty batch")
+    shape = model.image_shape
+    x0, eps, masks = (np.empty((n,) + shape) for _ in range(3))
+    ts, cs, seqs = [], [], []
+    for i, ex in enumerate(examples):
+        mask = getattr(ex, "valid_mask", None)
+        for what, arr in (("image", ex.image), ("mask", mask)):
+            if arr is not None and arr.shape != shape:
+                raise InvalidInput(f"example {i} has a {arr.shape} {what}; "
+                                   f"the model takes {shape}")
         caption = ex.caption
         if cond_dropout > 0.0 and rng.random() < cond_dropout:
             caption = ""    # the unconditional branch used by guidance
-        t = int(rng.integers(1, sched.T + 1))
-        eps = rng.standard_normal(ex.image.shape)
-        seq = textmod.tokenize(vocab, caption)
-        x_t.append(diffusion.forward_noise(ex.image, t, eps, sched))
-        ts.append(t)
-        cs.append(textmod.encode_caption(vocab, seq))
-        mask = getattr(ex, "valid_mask", None)
-        draws.append((eps, np.ones(eps.shape) if mask is None else mask, seq))
-    n = len(draws)
-    if n == 0:
-        raise InvalidInput("empty batch")
-    eps_pred, cache = denoiser.forward(model, np.stack(x_t), ts, denoiser.context(model, cs),
-                                       workspace)
+        ts.append(int(rng.integers(1, sched.T + 1)))
+        rng.standard_normal(out=eps[i])
+        x0[i] = ex.image
+        masks[i] = 1.0 if mask is None else mask
+        seqs.append(textmod.tokenize(vocab, caption))
+        cs.append(textmod.encode_caption(vocab, seqs[-1]))
+    x_t = diffusion.forward_noise(x0, ts, eps, sched)
+    eps_pred, cache = denoiser.forward(model, x_t, ts, denoiser.context(model, cs), workspace)
+    # added in example order: np.sum pairs the terms, which rounds differently
     total_loss = 0.0
-    d_pred = np.empty_like(eps_pred)
-    for i, (eps, mask, _) in enumerate(draws):
-        total_loss += diffusion.masked_loss(eps, eps_pred[i], mask)
-        d_pred[i] = -2.0 * mask * (eps - eps_pred[i]) / (mask.sum() * n)
+    for loss in diffusion.masked_loss(eps, eps_pred, masks).tolist():
+        total_loss += loss
+    d_pred = -2.0 * masks * (eps - eps_pred) / (masks.sum(axis=(1, 2)) * n)[:, None, None]
     grads, d_c = denoiser.backward(model, cache, d_pred, keys)
     # Only registered trainable rows receive embedding gradient; the start
     # token and the rest of the table stay frozen. Summation order is fixed
     # for determinism.
     emb_grads = {i: np.zeros(vocab.dim) for i in modifier_indices}
-    for (_, _, seq), dc in zip(draws, d_c):
+    for seq, dc in zip(seqs, d_c):
         for pos, tok in enumerate(seq):
             if tok in emb_grads:
                 emb_grads[tok] += dc[pos]

@@ -144,7 +144,7 @@ def encode_caption(vocab, seq):
     seq = list(seq)
     if any(not 0 <= i < len(vocab.tokens) for i in seq):
         raise InvalidInput("token index out of range")
-    return vocab.embeddings[seq].copy()
+    return vocab.embeddings[seq]    # fancy indexing copies
 
 
 def template_prompt(category):

@@ -163,6 +163,24 @@ def test_finetune_image_size_is_checked_before_regularization(tmp_path, cli_inpu
     assert calls == [] and not out.exists()
 
 
+def test_pretrain_on_a_dataset_of_mixed_image_sizes_exits_2_before_training(
+        tmp_path, cli_inputs, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(finetune, "pretrain", lambda *a, **k: calls.append(a))
+    rows = json.loads((cli_inputs / "pretrain.json").read_text())[:4]
+    rows[2].update(height=4, width=4, pixels=rows[2]["pixels"][:16])
+    data = tmp_path / "mixed.json"
+    data.write_text(json.dumps(rows))
+    out = tmp_path / "base.ckpt"
+    rc = run_command(["pretrain", "--vocab", str(cli_inputs / "vocab.json"),
+                      "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(data) in err and "4x4" in err and "8x8" in err
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("caption", ["photo of a <new1>", "photo of a", "<new1>", ""])
 def test_generated_regularization_without_a_category_word_exits_2(
         tmp_path, cli_inputs, capsys, monkeypatch, caption):

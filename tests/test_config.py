@@ -21,6 +21,21 @@ def test_defaults_load_without_file():
     assert cfg is not config.DEFAULT_CONFIG        # deep copy, not aliasing
 
 
+def test_a_loaded_config_shares_no_table_with_the_defaults(tmp_path):
+    path = str(tmp_path / "cfg.json")
+    with open(path, "w") as fh:
+        json.dump({"train": {"steps": 12}}, fh)
+    defaults = json.loads(json.dumps(config.DEFAULT_CONFIG))
+    for cfg in (config.load_config(), config.load_config(path, {"sampler": {"steps": 10}})):
+        assert list(cfg) == list(config.DEFAULT_CONFIG)
+        assert all(list(cfg[s]) == list(config.DEFAULT_CONFIG[s]) for s in cfg)
+        for section in cfg.values():
+            for key in list(section):
+                section[key] = None
+            section["extra"] = 1
+    assert config.DEFAULT_CONFIG == defaults
+
+
 def test_file_and_explicit_overrides(tmp_path):
     path = str(tmp_path / "cfg.json")
     with open(path, "w") as fh:

@@ -67,6 +67,56 @@ def test_augment_random_ratio_branches():
     assert all(0.4 <= r <= 1.4 for r in ratios)
 
 
+def _augment_reference(sample, rng, ratio=None):
+    """augment() from the nearest-resize definition, one pixel at a time:
+    resized pixel (i, j) of a (new_h, new_w) resize is source pixel
+    (i h // new_h, j w // new_w); any ratio above 1 keeps the centered crop,
+    any other pastes the resize centered on a canvas of zeros."""
+    h, w = sample.image.shape
+    if ratio is None:
+        ratio = (float(rng.uniform(1.2, 1.4)) if rng.random() < 1.0 / 3.0
+                 else float(rng.uniform(0.4, 1.0)))
+    new_h, new_w = max(int(round(ratio * h)), 1), max(int(round(ratio * w)), 1)
+    image, mask = np.zeros((h, w)), np.zeros((h, w))
+    caption = sample.caption
+    if ratio > 1.0:
+        top, left = (new_h - h) // 2, (new_w - w) // 2
+        for y in range(h):
+            for x in range(w):
+                image[y, x] = sample.image[(top + y) * h // new_h, (left + x) * w // new_w]
+                mask[y, x] = 1.0
+        caption += " " + ("zoomed in", "close up")[int(rng.integers(2))]
+    else:
+        top, left = (h - new_h) // 2, (w - new_w) // 2
+        for i in range(new_h):
+            for j in range(new_w):
+                image[top + i, left + j] = sample.image[i * h // new_h, j * w // new_w]
+                mask[top + i, left + j] = 1.0
+        if ratio < 0.6:
+            caption += " " + ("far away", "very small")[int(rng.integers(2))]
+    return image, mask, caption, ratio
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 8), (3, 5), (8, 8)])
+def test_augment_matches_the_nearest_resize_reference_bit_for_bit(shape):
+    """Drawn ratios, and forced ones at the branch edges; at h = 1 a ratio of
+    1.3 and at h = 3 a ratio of 1.1 up-scale to the image's own height. The
+    generator ends where the reference's does, and the shared mask refuses
+    writes."""
+    forced = [0.4, 0.55, 0.6, 0.75, 0.99, 1.0, 1.1, 1.2, 1.3, 1.4]
+    for k, ratio in enumerate(forced + [None] * 30):
+        s = _sample(*shape, seed=k)
+        got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+        out = datamod.augment(s, got_rng, ratio=ratio)
+        image, mask, caption, r = _augment_reference(s, want_rng, ratio)
+        assert out.image.tobytes() == image.tobytes() and out.image.shape == shape
+        assert out.valid_mask.tobytes() == mask.tobytes() and out.valid_mask.shape == shape
+        assert (out.caption, out.ratio) == (caption, r)
+        assert got_rng.random() == want_rng.random()
+        with pytest.raises(ValueError):
+            out.valid_mask[0, 0] = 0.5
+
+
 @pytest.fixture
 def pool_and_featurizer():
     vocab = fixtures.fixture_vocab()

@@ -57,6 +57,31 @@ def test_losses():
         diffusion.masked_loss(eps, pred[:1], mask)
 
 
+def test_batched_forward_noise_and_masked_loss_match_each_image_bit_for_bit():
+    """A (B, H, W) batch with one timestep per image gives each image the
+    bytes of the one-image call; masked_loss gives one loss per image."""
+    sched = diffusion.NoiseSchedule.linear(T=50)
+    rng = np.random.default_rng(3)
+    x0, eps, pred = (rng.standard_normal((5, 3, 4)) for _ in range(3))
+    ts = [1, 7, 50, 7, 23]
+    mask = (rng.random((5, 3, 4)) < 0.6).astype(float)
+    mask[:, 0, 0] = 1.0
+    x_t = diffusion.forward_noise(x0, ts, eps, sched)
+    losses = diffusion.masked_loss(eps, pred, mask)
+    assert x_t.shape == (5, 3, 4) and losses.shape == (5,)
+    for i, t in enumerate(ts):
+        assert x_t[i].tobytes() == diffusion.forward_noise(x0[i], t, eps[i], sched).tobytes()
+        assert losses[i] == diffusion.masked_loss(eps[i], pred[i], mask[i])
+    for bad_ts in ([1, 7], 7 * np.ones((5, 1), dtype=int), [1, 7, 51, 7, 23]):
+        with pytest.raises(InvalidInput):
+            diffusion.forward_noise(x0, bad_ts, eps, sched)
+    with pytest.raises(InvalidInput):
+        diffusion.forward_noise(x0[0], ts[:3], eps[0], sched)
+    mask[3] = 0.0
+    with pytest.raises(InvalidInput, match="no pixels"):
+        diffusion.masked_loss(eps, pred, mask)
+
+
 def test_sampling_timesteps():
     ts = diffusion.sampling_timesteps(100, 10)
     assert ts[0] == 100 and ts[-1] == 1

@@ -156,6 +156,86 @@ def test_sequential_training_accumulates_modifiers(tiny_model):
     assert report.loss_curve.shape == (4,)
 
 
+def _reference_batch_gradients(model, examples, sched, rng, modifier_indices, cond_dropout,
+                               keys):
+    """The training step one example at a time: each example's draws, noised
+    image, masked loss and loss gradient from the one-image formulas, then
+    one forward and one backward pass over the stacked batch."""
+    vocab = model.vocab
+    x_t, ts, cs, draws = [], [], [], []
+    for ex in examples:
+        caption = ex.caption
+        if cond_dropout > 0.0 and rng.random() < cond_dropout:
+            caption = ""
+        t = int(rng.integers(1, sched.T + 1))
+        eps = rng.standard_normal(ex.image.shape)
+        seq = textmod.tokenize(vocab, caption)
+        x_t.append(diffusion.forward_noise(ex.image, t, eps, sched))
+        ts.append(t)
+        cs.append(textmod.encode_caption(vocab, seq))
+        mask = getattr(ex, "valid_mask", None)
+        draws.append((eps, np.ones(eps.shape) if mask is None else mask, seq))
+    n = len(draws)
+    eps_pred, cache = denoiser.forward(model, np.stack(x_t), ts, denoiser.context(model, cs))
+    loss = 0.0
+    d_pred = np.empty_like(eps_pred)
+    for i, (eps, mask, _) in enumerate(draws):
+        loss += diffusion.masked_loss(eps, eps_pred[i], mask)
+        d_pred[i] = -2.0 * mask * (eps - eps_pred[i]) / (mask.sum() * n)
+    grads, d_c = denoiser.backward(model, cache, d_pred, keys)
+    emb_grads = {i: np.zeros(vocab.dim) for i in modifier_indices}
+    for (_, _, seq), dc in zip(draws, d_c):
+        for pos, tok in enumerate(seq):
+            if tok in emb_grads:
+                emb_grads[tok] += dc[pos]
+    return loss / n, grads, emb_grads
+
+
+@pytest.mark.parametrize("scope", [finetune.SCOPE_KV_ONLY, finetune.SCOPE_ALL])
+@pytest.mark.parametrize("cond_dropout", [0.0, 0.5])
+def test_batch_gradients_matches_a_per_example_loop_bit_for_bit(scope, cond_dropout):
+    """Augmented targets (with valid masks) and plain regularization images,
+    with captions of two lengths: the batched step gives the loss, every
+    gradient and every modifier gradient of the per-example reference, and
+    leaves the generator where the reference leaves it."""
+    model = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
+    sched = diffusion.NoiseSchedule.linear()
+    mod = textmod.register_modifier(model.vocab, "<new1>")
+    keys = finetune.trainable_set(model, scope)
+    targets = fixtures.target_concept()[:4]
+    # a batch of 8: np.sum adds 8 or more terms pairwise, not in order
+    reg = fixtures.regularization_pool()[:4]
+    workspace = {}
+    for seed in range(4):
+        aug_rng = np.random.default_rng(seed)
+        batch = [datamod.augment(ex, aug_rng) for ex in targets] + reg
+        assert any(ex.valid_mask.min() == 0.0 for ex in batch[:4])
+        got_rng, want_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        got = finetune.batch_gradients(model, batch, sched, got_rng,
+                                       modifier_indices=(mod.token_index,),
+                                       cond_dropout=cond_dropout, keys=keys,
+                                       workspace=workspace)
+        want = _reference_batch_gradients(model, batch, sched, want_rng,
+                                          (mod.token_index,), cond_dropout, keys)
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys() == keys
+        assert all(got[1][k].tobytes() == want[1][k].tobytes() for k in keys)
+        assert got[2].keys() == want[2].keys()
+        assert all(got[2][i].tobytes() == g.tobytes() for i, g in want[2].items())
+        assert got_rng.random() == want_rng.random()
+
+
+def test_batch_gradients_refuses_an_image_of_another_shape():
+    """A (1, 8) image would broadcast into the batch's (8, 8) row unnoticed."""
+    model = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
+    textmod.register_modifier(model.vocab, "<new1>")
+    batch = fixtures.target_concept()[:3]
+    batch[1] = datamod.ConceptExample(image=batch[1].image[:1], caption=batch[1].caption)
+    with pytest.raises(InvalidInput, match="example 1 has a \\(1, 8\\) image"):
+        finetune.batch_gradients(model, batch, diffusion.NoiseSchedule.linear(),
+                                 np.random.default_rng(0))
+
+
 def test_batch_gradients_results_survive_a_later_call(tiny_model):
     # the finite-difference K/V check keeps the first call's gradients while
     # it calls again on a model with one entry moved, and a training loop
