@@ -39,6 +39,8 @@ _VALIDATORS = {
     **{(s, "batch"): (lambda v: v >= 2, ">= 2") for s in ("train", "pretrain")},
     ("pretrain", "cond_dropout"): (lambda v: 0 <= v <= 1, "in [0, 1]"),
     ("retrieval", "threshold"): (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    # a 0-dimensional feature makes every similarity 0 and KID 0 / 0
+    ("featurizer", "feature_dim"): (lambda v: v >= 1, ">= 1"),
 }
 
 

@@ -175,73 +175,81 @@ def _mm(ws, name, a, b):
     return np.matmul(a, b, out=_buf(ws, name, a.shape[:-1] + b.shape[-1:]))
 
 
-def _attn_forward(f, c, wq, wk, wv, key_bias=None, ws=None):
-    """Single-head attention of the queries of f (B, N, D) over the keys and
-    values of c (B, S, Dc). key_bias (B, S) is added to every query's logits:
-    0 for a real key and -inf for padding, which gets exactly zero weight.
-    The projections run as 2-D matmuls over all rows of the batch; the cache
-    holds f, c and the output h as such rows, (B*N, D), (B*S, Dc), (B*N, dp),
-    and the queries scaled by 1/sqrt(dp). It holds the attention weights
-    key-major, a (B, S, N) with a[b, j, i] the weight of key j for query i,
-    so the softmax reduces across the S rows of a and broadcasts along its
-    contiguous query axis. Its arrays other than f and c are those of the
-    workspace `ws` (a fresh one when None)."""
-    ws = {} if ws is None else ws
-    b, s = c.shape[:2]
-    c = c.reshape(b * s, -1)
-    k = _mm(ws, "k", c, wk.T).reshape(b, s, -1)
-    v = _mm(ws, "v", c, wv.T).reshape(b, s, -1)
-    return _attend(f, c, wq, k, v, key_bias, ws)
+def _blocks(a, n, shape):
+    """The n column blocks of the rows a (R, n * w), each a view of a
+    reshaped to `shape`, which may split only the row axis (so no copy is
+    made): a fused projection's q, k and v, or the arrays its gradient is
+    written into."""
+    w = a.shape[1] // n
+    return [a[:, i * w:(i + 1) * w].reshape(shape) for i in range(n)]
 
 
-def _attend(f, c, wq, k, v, key_bias, ws):
-    """_attn_forward() with the keys k and values v (B, S, dp) of the rows c
-    already projected, as a caption context holds them."""
-    b, n, _ = f.shape
-    f = f.reshape(b * n, -1)
-    q = _mm(ws, "q", f, wq.T)
-    q *= wq.shape[0] ** -0.5
-    q = q.reshape(b, n, -1)
-    # logits k q^T, and the softmax over the keys in place
-    a = _mm(ws, "a", k, q.transpose(0, 2, 1))
+def _attend(q, k, v, key_bias, ws):
+    """Single-head softmax attention of the queries q (B, N, dp) over the
+    keys k and values v (B, S, dp), the one kernel of both attention
+    sublayers. q comes from a query weight that already holds the
+    1/sqrt(dp) scale. key_bias (B, S) is added to every query's logits: 0
+    for a real key and -inf for padding, which gets exactly zero weight.
+
+    The softmax is left unnormalized: the cache holds e = exp(logits - max),
+    key-major, a (B, S, N) with e[b, j, i] the term of key j for query i, so
+    the max and the sum reduce across its S rows and broadcast along its
+    contiguous query axis, and each query's sum s_q (B, N). The output h =
+    (e^T v) / s_q, as (B*N, dp) rows, is divided instead of the (B, S, N)
+    weights. The cache holds q, k and v too; its other arrays are those of
+    the workspace `ws`."""
+    b, n, _ = q.shape
+    e = _mm(ws, "e", k, q.transpose(0, 2, 1))
     if key_bias is not None:
-        a += key_bias[:, :, None]
-    a -= a.max(axis=1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=1, keepdims=True)
-    return {"f": f, "c": c, "q": q, "k": k, "v": v, "a": a,
-            "h": _mm(ws, "h", a.transpose(0, 2, 1), v).reshape(b * n, -1)}
+        e += key_bias[:, :, None]
+    # the reductions as ufunc methods, which skip np.max's and np.sum's
+    # Python-level dispatch
+    e -= np.maximum.reduce(e, axis=1, keepdims=True, out=_buf(ws, "max", (b, 1, n)))
+    np.exp(e, out=e)
+    s_q = np.add.reduce(e, axis=1, out=_buf(ws, "s_q", (b, n)))
+    h = _mm(ws, "h", e.transpose(0, 2, 1), v)
+    h /= s_q[:, :, None]
+    return {"q": q, "k": k, "v": v, "e": e, "s_q": s_q, "h": h.reshape(b * n, -1)}
 
 
-def _attn_backward(cache, dout, keys, p, want, grads, ws):
-    """Backprop through one attention sublayer, h = A^T V with A key-major,
-    and its output projection, for dout given as rows like the cache's f.
-    keys are the sublayer's (q, k, v, out) registry keys; each one in `want`
-    gets its gradient, summed over the batch, stored in grads. Returns
-    (df, dc) as rows, both arrays of the scratch workspace `ws`."""
-    kq, kk, kv, ko = keys
+def _attn_backward(cache, dout, ko, p, want, grads, dq, dk, dv, ws):
+    """Backprop through one _attend() and its output projection p[ko], for
+    dout given as rows like the cache's h: the gradient of ko, summed over
+    the batch, goes into grads when ko is in `want`, and the gradients of the
+    kernel's q, k and v are written into dq, dk and dv, arrays of their
+    shapes that the caller passes (views into one fused array). The
+    normalization moves onto dh as it did onto h: with dh /= s_q, the
+    softmax weights A = e / s_q drop out, dv = e dh and dz = e * (v dh^T -
+    rowsum(dh * h)), key-major like e. Scratch arrays come from `ws`."""
     if ko in want:
         grads[ko] = dout.T @ cache["h"]
-    a, q, k, v, f, c = cache["a"], cache["q"], cache["k"], cache["v"], cache["f"], cache["c"]
-    scale = q.shape[-1] ** -0.5
+    e, q, k, v = cache["e"], cache["q"], cache["k"], cache["v"]
     dh = _mm(ws, "dh", dout, p[ko]).reshape(q.shape)
-    dv = _mm(ws, "dv", a, dh)
-    # dz = A * (dA - colsum(dA * A)) with dA = V dh^T, key-major like A and
-    # computed in place; colsum(dA * A) = rowsum(dh * h) since h = A^T V
+    dh /= cache["s_q"][:, :, None]
+    np.matmul(e, dh, out=dv)
+    # dz = A * (dA - colsum(A * dA)) with dA = V (s_q dh)^T, computed in
+    # place; colsum(A * dA) = s_q rowsum(dh * h), since h = A^T V
     dz = _mm(ws, "dz", v, dh.transpose(0, 2, 1))
     dhh = np.multiply(dh, cache["h"].reshape(q.shape), out=_buf(ws, "dhh", q.shape))
-    dz -= np.sum(dhh, axis=2)[:, None, :]
-    dz *= a
-    dq = _mm(ws, "dq", dz.transpose(0, 2, 1), k).reshape(f.shape[0], -1)
-    dq *= scale
-    dk = _mm(ws, "dk", dz, q).reshape(c.shape[0], -1)
-    dv = dv.reshape(c.shape[0], -1)
-    for key, dy, x in ((kq, dq, f), (kk, dk, c), (kv, dv, c)):
+    dz -= np.add.reduce(dhh, axis=2, out=_buf(ws, "rowsum", q.shape[:2]))[:, None, :]
+    dz *= e
+    np.matmul(dz.transpose(0, 2, 1), k, out=dq)
+    np.matmul(dz, q, out=dk)
+
+
+def _stacked_grads(dy, x, keys, want, grads, scale):
+    """Weight gradients of the projection y = x W^T, W the weights of `keys`
+    stacked by rows in that order, for dy and x given as rows: one matmul
+    for all of them when any key is in `want`, split by rows, and kept for
+    those in `want`. A query weight ("wq") holds the 1/sqrt(d_attn) scale in
+    W, so its gradient is multiplied by `scale`."""
+    if want.isdisjoint(keys):
+        return
+    for key, g in zip(keys, np.split(dy.T @ x, len(keys))):
         if key in want:
-            grads[key] = dy.T @ x
-    dc = _mm(ws, "dc", dk, p[kk])
-    dc += _mm(ws, "dcv", dv, p[kv])
-    return _mm(ws, "df", dq, p[kq]), dc
+            if key.name == "wq":
+                g *= scale
+            grads[key] = g
 
 
 @functools.cache
@@ -257,21 +265,27 @@ def _block_keys(l):
 class Context(NamedTuple):
     """B captions as forward() reads them: their features padded to the
     longest, c (B, S, d_text); each caption's length; key_bias (B, S), 0 for
-    a real key and -inf for padding (None when no caption is padded); and
-    each block's cross-attention keys and values, kv[l - 1] = (k, v), each
-    (B, S, d_attn)."""
+    a real key and -inf for padding (None when no caption is padded); each
+    block's cross-attention keys and values, kv[l - 1] = (k, v), each
+    (B, S, d_attn) and a column block of one (B*S, 2*d_attn) array; and each
+    block's attention weights as forward() and backward() read them, w[l - 1]
+    = (s*wq cross, [wk; wv] cross, [s*wq; wk; wv] self), with s =
+    1/sqrt(d_attn) folded into the query weights and the rest stacked by
+    rows, one projection matmul each."""
     c: np.ndarray
     lengths: list
     key_bias: np.ndarray
     kv: tuple
+    w: tuple
 
 
 def context(model, captions):
     """The Context of a list of B >= 1 caption-feature arrays (s_b, d_text),
     s_b >= 1, projected with the model's current cross-attention K/V
-    weights. It is valid only for those weights: build a new one after any
-    update."""
+    weights, which it holds stacked with the other attention weights. It is
+    valid only for those weights: build a new one after any update."""
     cfg = model.config
+    p = model.params
     c = [np.asarray(cb, dtype=np.float64) for cb in captions]
     if not c or any(cb.ndim != 2 or cb.shape[0] < 1 or cb.shape[1] != cfg.d_text for cb in c):
         raise InvalidInput(f"expected at least one caption, each of caption features "
@@ -287,10 +301,14 @@ def context(model, captions):
             cpad[i, :lengths[i]] = cb
         key_bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, -np.inf)
     rows = cpad.reshape(bsz * s, -1)
-    kv = tuple(tuple((rows @ model.params[key].T).reshape(bsz, s, -1)
-                     for key in _block_keys(l)[0][1:3])
-               for l in range(1, cfg.blocks + 1))
-    return Context(cpad, lengths, key_bias, kv)
+    scale = cfg.d_attn ** -0.5
+    w, kv = [], []
+    for l in range(1, cfg.blocks + 1):
+        (cq, ck, cv, _), (sq, sk, sv, _), _ = _block_keys(l)
+        ckv = np.concatenate([p[ck], p[cv]])
+        w.append((scale * p[cq], ckv, np.concatenate([scale * p[sq], p[sk], p[sv]])))
+        kv.append(tuple(_blocks(rows @ ckv.T, 2, (bsz, s, -1))))
+    return Context(cpad, lengths, key_bias, tuple(kv), tuple(w))
 
 
 def forward(model, x_t, t, ctx, workspace=None):
@@ -300,8 +318,11 @@ def forward(model, x_t, t, ctx, workspace=None):
     InvalidInput is raised when it holds another number of captions than
     x_t images. Padded keys get zero attention weight. The features of all
     B images run as one (B*h*w, d_model) array of rows. Each attention
-    sublayer's cache holds its weights key-major, a (B, S, N) (see
-    _attn_forward()).
+    sublayer runs one projection matmul in, with the weights the context
+    holds (cross-attention's queries, self-attention's q, k and v as the
+    column blocks of one (B*h*w, 3*d_attn) array), then _attend(), whose
+    cache holds its unnormalized weights key-major, e (B, S, N), and each
+    query's sum s_q, and one matmul back through the output projection.
 
     `workspace` is a dict the caller keeps across calls (a fresh one when
     None): the pass writes its large arrays, and backward() its scratch
@@ -321,7 +342,6 @@ def forward(model, x_t, t, ctx, workspace=None):
     if t.shape != (bsz,) or len(ctx.lengths) != bsz:
         raise InvalidInput(f"expected {bsz} timesteps and a context of {bsz} captions, "
                            f"got {t.shape} and {len(ctx.lengths)}")
-    crows = ctx.c.reshape(-1, cfg.d_text)
 
     x = x_t.reshape(-1)
     s_t = sinusoidal_embedding(t, d)
@@ -333,23 +353,23 @@ def forward(model, x_t, t, ctx, workspace=None):
     f3 += model.pos
     f3 += te[:, None, :]
 
-    cache = {"x": x, "s_t": s_t, "c": ctx.c, "lengths": ctx.lengths, "blocks": [], "ws": ws}
+    cache = {"x": x, "s_t": s_t, "ctx": ctx, "blocks": [], "ws": ws}
     for l in range(1, cfg.blocks + 1):
         wb = ws.setdefault(l, {})
-        bc = {}
+        cross, self_attn, mlp = _block_keys(l)
+        wcq, _, wqkv = ctx.w[l - 1]
+        bc = {"f": f}
         # cross-attention first, so its output is decoded by the rest of the
         # block (and any later blocks) rather than feeding the output
         # projection directly
-        cross, self_attn, mlp = _block_keys(l)
-        bc["ca"] = _attend(f.reshape(bsz, n, d), crows, p[cross[0]], *ctx.kv[l - 1],
-                           ctx.key_bias, wb.setdefault("ca", {}))
-        f1 = _mm(wb, "f1", bc["ca"]["h"], p[cross[3]].T)
+        q = _mm(wb, "cq", f, wcq.T).reshape(bsz, n, -1)
+        bc["ca"] = _attend(q, *ctx.kv[l - 1], ctx.key_bias, wb.setdefault("ca", {}))
+        f1 = bc["f1"] = _mm(wb, "f1", bc["ca"]["h"], p[cross[3]].T)
         f1 += f
         # self-attention
-        sq, sk, sv, so = map(p.__getitem__, self_attn)
-        f1_3d = f1.reshape(bsz, n, d)
-        bc["sa"] = _attn_forward(f1_3d, f1_3d, sq, sk, sv, ws=wb.setdefault("sa", {}))
-        f2 = _mm(wb, "f2", bc["sa"]["h"], so.T)
+        qkv = _mm(wb, "qkv", f1, wqkv.T)
+        bc["sa"] = _attend(*_blocks(qkv, 3, (bsz, n, -1)), None, wb.setdefault("sa", {}))
+        f2 = _mm(wb, "f2", bc["sa"]["h"], p[self_attn[3]].T)
         f2 += f1
         # residual MLP (tanh; smooth for finite-difference checks)
         w1, w2 = map(p.__getitem__, mlp)
@@ -368,17 +388,25 @@ def forward(model, x_t, t, ctx, workspace=None):
 def backward(model, cache, d_eps, keys=None):
     """Backprop through forward(). Its scratch arrays come from the workspace
     of the forward pass that made `cache`, one set that the blocks share, as
-    they run one after another. Returns (grads, d_c): grads maps each
-    ParamKey in `keys` (every key when None) to its gradient summed over the
-    batch, and d_c lists each example's text-feature gradient, cut back to
-    its caption's length. Neither shares memory with the workspace."""
+    they run one after another. Each attention sublayer writes its q, k and
+    v gradients as the column blocks of one array (self-attention's q, k and
+    v; cross-attention's k and v), so its input gradient is one matmul with
+    the context's stacked weights, and the gradients of its wanted stacked
+    weights one more (_stacked_grads()). Returns (grads, d_c): grads maps
+    each ParamKey in `keys` (every key when None) to its gradient summed
+    over the batch, and d_c lists each example's text-feature gradient, cut
+    back to its caption's length. Neither shares memory with the
+    workspace."""
     cfg = model.config
     p = model.params
     want = set(p) if keys is None else set(keys)
     grads = {}
-    x, lengths = cache["x"], cache["lengths"]
-    d_c = np.zeros_like(cache["c"])
-    d = cfg.d_model
+    x, ctx = cache["x"], cache["ctx"]
+    bsz, s = ctx.c.shape[:2]
+    crows = ctx.c.reshape(bsz * s, -1)
+    d_c = np.zeros_like(ctx.c)
+    d, n, dp = cfg.d_model, cfg.n_tokens, cfg.d_attn
+    scale = dp ** -0.5
 
     deps = np.asarray(d_eps, dtype=np.float64).reshape(x.shape)
     k_out = ParamKey(0, ROLE_OTHER, "w_out")
@@ -390,6 +418,7 @@ def backward(model, cache, d_eps, keys=None):
 
     for l, bc in zip(range(cfg.blocks, 0, -1), reversed(cache["blocks"])):
         cross, self_attn, (k1, k2) = _block_keys(l)
+        wcq, wckv, wqkv = ctx.w[l - 1]
         r = bc["r"]
         # MLP residual
         if k2 in want:
@@ -402,18 +431,25 @@ def backward(model, cache, d_eps, keys=None):
         if k1 in want:
             grads[k1] = dh1.T @ bc["f2"]
         df2 = _mm(scratch, "df2", dh1, p[k1])
-        # the last read of df, which may be the cross-attention scratch
-        # array that this block's cross-attention step overwrites
+        # the last read of df, the scratch array that this block's
+        # cross-attention step overwrites
         df2 += df
         # self-attention residual
-        df1, dfkv = _attn_backward(bc["sa"], df2, self_attn, p, want, grads,
-                                   scratch.setdefault("sa", {}))
-        df1 += dfkv
+        dqkv = _buf(scratch, "dqkv", (bsz * n, 3 * dp))
+        _attn_backward(bc["sa"], df2, self_attn[3], p, want, grads,
+                       *_blocks(dqkv, 3, (bsz, n, dp)), scratch.setdefault("sa", {}))
+        _stacked_grads(dqkv, bc["f1"], self_attn[:3], want, grads, scale)
+        df1 = _mm(scratch, "df1", dqkv, wqkv)
         df1 += df2
         # cross-attention residual
-        df, dc = _attn_backward(bc["ca"], df1, cross, p, want, grads,
-                                scratch.setdefault("ca", {}))
-        d_c += dc.reshape(d_c.shape)
+        dq = _buf(scratch, "dq", (bsz * n, dp))
+        dkv = _buf(scratch, "dkv", (bsz * s, 2 * dp))
+        _attn_backward(bc["ca"], df1, cross[3], p, want, grads, dq.reshape(bsz, n, dp),
+                       *_blocks(dkv, 2, (bsz, s, dp)), scratch.setdefault("ca", {}))
+        _stacked_grads(dq, bc["f"], cross[:1], want, grads, scale)
+        _stacked_grads(dkv, crows, cross[1:3], want, grads, scale)
+        d_c += _mm(scratch, "dc", dkv, wckv).reshape(d_c.shape)
+        df = _mm(scratch, "df", dq, wcq)
         df += df1
 
     # input embedding
@@ -421,18 +457,18 @@ def backward(model, cache, d_eps, keys=None):
     if k_pix in want:
         grads[k_pix] = (df.T @ x)[None, :]
     if k_time in want:
-        grads[k_time] = df.reshape(len(lengths), -1, d).sum(axis=1).T @ cache["s_t"]
-    return grads, [d_c[i, :m] for i, m in enumerate(lengths)]
+        grads[k_time] = df.reshape(bsz, -1, d).sum(axis=1).T @ cache["s_t"]
+    return grads, [d_c[i, :m] for i, m in enumerate(ctx.lengths)]
 
 
 def predict_eps_with_traces(model, x_t, t, c):
     """predict() that also returns each block's cross-attention weights,
-    each an (h*w, s) AttentionTrace: a copy of the transposed key-major
-    weights of the forward cache."""
+    each an (h*w, s) AttentionTrace: a transposed copy of the forward cache's
+    key-major e, each query's column divided by its sum s_q."""
     eps, cache = forward(model, np.asarray(x_t, dtype=np.float64)[None], (t,),
                          context(model, (c,)))
-    return eps[0], [AttentionTrace(weights=bc["ca"]["a"][0].T.copy(), layer=l, timestep=int(t),
-                                   grid=model.image_shape)
+    return eps[0], [AttentionTrace(weights=(bc["ca"]["e"][0] / bc["ca"]["s_q"][0]).T.copy(),
+                                   layer=l, timestep=int(t), grid=model.image_shape)
                     for l, bc in enumerate(cache["blocks"], start=1)]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import textmod
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, check_section
 from .errors import InvalidInput
 
 _FEATURIZER = DEFAULT_CONFIG["featurizer"]
@@ -16,6 +16,7 @@ class ReferenceFeaturizer:
 
     def __init__(self, image_shape, text_dim, feature_dim=_FEATURIZER["feature_dim"],
                  seed=_FEATURIZER["seed"]):
+        check_section("featurizer", {"feature_dim": feature_dim, "seed": seed})
         self.image_shape = tuple(image_shape)
         self.text_dim = text_dim
         self.feature_dim = feature_dim

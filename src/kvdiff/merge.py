@@ -178,12 +178,9 @@ def _target_rows(vocab, captions_per_concept, modifiers_per_concept):
 
 
 def reg_feature_rows(vocab, captions):
-    """Token-embedding rows of a regularization caption pool."""
-    rows = []
-    for caption in captions:
-        seq = textmod.tokenize(vocab, caption)
-        rows.append(textmod.encode_caption(vocab, seq))
-    return np.vstack(rows)
+    """Token-embedding rows of a regularization caption pool: every caption's
+    token ids, gathered from the embeddings at once."""
+    return vocab.embeddings[[i for caption in captions for i in textmod.tokenize(vocab, caption)]]
 
 
 @dataclass

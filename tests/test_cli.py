@@ -47,6 +47,22 @@ def test_error_exit_code_on_bad_config(tmp_path, fixture_dir):
     assert rc == 2
 
 
+def test_zero_feature_dim_exits_2_naming_the_key(tmp_path, fixture_dir, capsys):
+    """A 0-dimensional featurizer would make every retrieval similarity 0
+    and KID 0 / 0: the config load refuses it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"featurizer": {"feature_dim": 0}}))
+    out = tmp_path / "reg.json"
+    rc = run_command(["retrieve-reg", "--config", str(cfg),
+                      "--pool", str(fixture_dir / "reg_pool.json"),
+                      "--vocab", str(fixture_dir / "vocab.json"),
+                      "--target-caption", "photo of a blob", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: featurizer.feature_dim must be >= 1") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def cli_inputs(fixture_dir):
     """The fixture corpus plus an untrained base, a zero delta, a target list

@@ -31,6 +31,17 @@ def _scalar_attention(f, c, wq, wk, wv):
     return out
 
 
+def _project(f, c, wq, wk, wv):
+    """The kernel's inputs as a sublayer builds them: the queries of f from a
+    query weight holding the 1/sqrt(dp) scale, the keys and values of c."""
+    return f @ (wq.shape[0] ** -0.5 * wq).T, c @ wk.T, c @ wv.T
+
+
+def _weights(cache):
+    """The softmax weights (B, S, N), key-major: e divided by s_q."""
+    return cache["e"] / cache["s_q"][:, None, :]
+
+
 def test_cross_attention_matches_scalar_oracle():
     rng = np.random.default_rng(4)
     f = rng.standard_normal((5, 6))
@@ -39,11 +50,13 @@ def test_cross_attention_matches_scalar_oracle():
     wk = rng.standard_normal((2, 4))
     wv = rng.standard_normal((2, 4))
     # the kernel forward() runs for both cross- and self-attention
-    cache = denoiser._attn_forward(f[None], c[None], wq, wk, wv)
+    cache = denoiser._attend(*(a[None] for a in _project(f, c, wq, wk, wv)), None, {})
     np.testing.assert_allclose(cache["h"], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
-    # the weights are key-major, (B, S, N): each query's column sums to 1
-    np.testing.assert_allclose(cache["a"].sum(axis=1), np.ones((1, 5)), atol=1e-12)
-    assert np.all(cache["a"] >= 0)
+    # e is key-major, (B, S, N), and s_q its column sums: each query's
+    # weights sum to 1
+    np.testing.assert_array_equal(cache["s_q"], cache["e"].sum(axis=1))
+    np.testing.assert_allclose(_weights(cache).sum(axis=1), np.ones((1, 5)), atol=1e-12)
+    assert np.all(cache["e"] >= 0)
 
     # a batch of two whose second key set is padded: the padded keys get
     # exactly zero weight and each row matches the oracle on its own keys
@@ -51,12 +64,40 @@ def test_cross_attention_matches_scalar_oracle():
     f2 = rng.standard_normal((5, 6))
     padded = np.stack([c, np.vstack([c2, 100.0 * np.ones((1, 4))])])
     bias = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf]])
-    cache = denoiser._attn_forward(np.stack([f, f2]), padded, wq, wk, wv, bias)
+    cache = denoiser._attend(*_project(np.stack([f, f2]), padded, wq, wk, wv), bias, {})
     # h holds the rows of both images, one after the other
     np.testing.assert_allclose(cache["h"][:5], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
     np.testing.assert_allclose(cache["h"][5:], _scalar_attention(f2, c2, wq, wk, wv), atol=1e-12)
-    assert np.all(cache["a"][1, 2] == 0.0)
-    np.testing.assert_allclose(cache["a"].sum(axis=1), np.ones((2, 5)), atol=1e-12)
+    assert np.all(cache["e"][1, 2] == 0.0)
+    np.testing.assert_allclose(_weights(cache).sum(axis=1), np.ones((2, 5)), atol=1e-12)
+
+
+def test_fused_projection_blocks_are_views(tiny_model):
+    """q, k and v, and the gradient arrays backward() writes them into, are
+    column blocks of one fused array: a reshape that copied would drop
+    backward()'s writes and cut the context's K/V off its projection."""
+    a = np.zeros((6, 9))
+    blocks = denoiser._blocks(a, 3, (2, 3, 3))
+    for i, blk in enumerate(blocks):
+        assert np.shares_memory(blk, a)
+        blk[...] = i + 1
+    np.testing.assert_array_equal(a, np.repeat([[1.0, 2.0, 3.0]], 6, axis=0).repeat(3, axis=1))
+
+    cfg = tiny_model.config
+    rng = np.random.default_rng(7)
+    cs = [rng.standard_normal((3, cfg.d_text)), rng.standard_normal((5, cfg.d_text))]
+    ctx = denoiser.context(tiny_model, cs)
+    ws = {}
+    _, cache = denoiser.forward(tiny_model, rng.standard_normal((2, cfg.height, cfg.width)),
+                                [4, 9], ctx, ws)
+    n, dp = cfg.n_tokens, cfg.d_attn
+    for l, bc in enumerate(cache["blocks"], start=1):
+        k, v = ctx.kv[l - 1]
+        assert k.shape == v.shape == (2, 5, dp)
+        assert k.base is not None and k.base is v.base and k.base.shape == (2 * 5, 2 * dp)
+        qkv = ws[l]["qkv"]
+        assert qkv.shape == (2 * n, 3 * dp)
+        assert all(np.shares_memory(bc["sa"][name], qkv) for name in "qkv")
 
 
 def test_forward_is_deterministic_and_validates_shapes(tiny_model):
@@ -121,7 +162,9 @@ def test_padded_guided_batch_matches_unpadded_batches_bit_for_bit(tiny_model):
 
 def test_backward_matches_finite_differences(tiny_model):
     """Central differences on a scalar loss over a representative slice of
-    every role (the acceptance check covers K/V exhaustively)."""
+    every role, and every attention weight of both blocks: their gradients
+    come from stacked weights split by rows, the queries' with the scale
+    folded into them (the acceptance check covers K/V exhaustively)."""
     cfg = tiny_model.config
     rng = np.random.default_rng(2)
     x = rng.standard_normal((cfg.height, cfg.width))
@@ -137,9 +180,10 @@ def test_backward_matches_finite_differences(tiny_model):
 
     h = 1e-6
     keys = [ParamKey(0, ROLE_OTHER, "w_pix"), ParamKey(0, ROLE_OTHER, "w_time"),
-            ParamKey(1, ROLE_SELF, "wq"), ParamKey(2, ROLE_OTHER, "mlp_w1"),
-            ParamKey(1, denoiser.ROLE_CROSS_QUERY, "wq"),
-            ParamKey(2, denoiser.ROLE_CROSS_OUT, "wo")]
+            ParamKey(2, ROLE_OTHER, "mlp_w1")]
+    keys += [k for k in tiny_model.params.sorted_keys()
+             if k.role == ROLE_SELF or k.role in denoiser.CROSS_ROLES]
+    assert len(keys) == 3 + 8 * cfg.blocks
     for key in keys:
         w = tiny_model.params[key]
         i, j = w.shape[0] // 2, w.shape[1] // 2
@@ -228,9 +272,20 @@ def test_traces_and_mean_attention_map(tiny_model):
     c = rng.standard_normal((3, cfg.d_text))
     _, traces = denoiser.predict_eps_with_traces(tiny_model, x, 4, c)
     assert len(traces) == cfg.blocks
-    for tr in traces:
+    _, cache = denoiser.forward(tiny_model, x[None], [4], denoiser.context(tiny_model, [c]))
+    for l, (tr, bc) in enumerate(zip(traces, cache["blocks"]), start=1):
         assert tr.weights.shape == (cfg.n_tokens, 3)
+        assert tr.layer == l and tr.timestep == 4
         np.testing.assert_allclose(tr.weights.sum(axis=1), 1.0, atol=1e-12)
+        # the scalar oracle's softmax, on the queries the block's
+        # cross-attention saw
+        wq, wk = (tiny_model.params[k] for k in denoiser._block_keys(l)[0][:2])
+        q, k, _ = _project(bc["f"], c, wq, wk, wk)
+        for i in range(0, cfg.n_tokens, 7):
+            logits = [sum(q[i][m] * k[j][m] for m in range(cfg.d_attn)) for j in range(3)]
+            ex = [np.exp(z - max(logits)) for z in logits]
+            np.testing.assert_allclose(tr.weights[i], [z / sum(ex) for z in ex],
+                                       rtol=0, atol=1e-12)
     amap = denoiser.mean_attention_map(traces, token_index=1)
     assert amap.shape == (cfg.height, cfg.width)
     manual = sum(tr.weights[:, 1] for tr in traces) / len(traces)

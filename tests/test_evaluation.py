@@ -36,6 +36,13 @@ def test_featurizer_deterministic_and_unit_norm(feat):
     assert not np.allclose(f1, f3)
 
 
+def test_featurizer_checks_its_arguments():
+    for kwargs in ({"feature_dim": 0}, {"feature_dim": -1}, {"feature_dim": 2.0},
+                   {"seed": -1}):
+        with pytest.raises(InvalidInput, match="featurizer"):
+            evaluation.ReferenceFeaturizer((8, 8), text_dim=8, **kwargs)
+
+
 def test_text_features_strip_modifiers(feat, fx_vocab):
     textmod.register_modifier(fx_vocab, "<new1>")
     with_mod = feat.text_features(fx_vocab, "photo of a <new1> blob")

@@ -4,7 +4,7 @@ The exhaustive optimality/oracle sweep lives in the acceptance suite."""
 import numpy as np
 import pytest
 
-from kvdiff import analysis, data as datamod, diffusion, finetune, merge, textmod
+from kvdiff import analysis, data as datamod, diffusion, finetune, fixtures, merge, textmod
 from kvdiff.denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
 from kvdiff.denoiser import DenoiserNet
 from kvdiff.errors import (DegenerateRegularization, InvalidInput, KVDiffError,
@@ -127,6 +127,11 @@ def test_reg_feature_rows():
     # each caption contributes start token + 4 words
     assert rows.shape == (10, 4)
     np.testing.assert_array_equal(rows[0], base.embeddings[base.start_token])
+    # the one gather gives the bytes of the captions' encodings, stacked
+    vocab, captions = fixtures.fixture_vocab(), fixtures.reg_caption_pool()
+    stacked = np.vstack([textmod.encode_caption(vocab, textmod.tokenize(vocab, caption))
+                         for caption in captions])
+    assert merge.reg_feature_rows(vocab, captions).tobytes() == stacked.tobytes()
 
 
 def _real_delta(base, name, source, category, seed):
