@@ -11,13 +11,13 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
 from . import textmod
 from .analysis import DeltaCheckpoint, DeltaEntry
-from .config import _is_int, _is_list, _is_number, _is_strings, _is_vocabulary
+from .config import _is_int, _is_list, _is_number, _is_strings, _is_vocabulary, is_section
 from .denoiser import KV_ROLES, DenoiserNet, ModelConfig, ParamRegistry, param_shapes
 from .diffusion import NoiseSchedule
 from .errors import CorruptCheckpoint, InvalidInput
@@ -38,16 +38,6 @@ def _is_tensor(e):
     return (isinstance(e, dict) and _is_str(e.get("name")) and e.get("dtype") == "f64"
             and _is_list(e.get("shape"), _is_int) and _is_int(e.get("offset"))
             and _is_int(e.get("length")))
-
-
-def _is_model_config(v):
-    return (isinstance(v, dict) and set(v) == {f.name for f in fields(ModelConfig)}
-            and all(_is_int(x, 1) for x in v.values()))
-
-
-def _is_schedule(v):
-    return (isinstance(v, dict) and _is_int(v.get("T"), 1)
-            and _is_number(v.get("beta_start")) and _is_number(v.get("beta_end")))
 
 
 def _is_modifier(m):
@@ -71,11 +61,12 @@ def _is_unique(items):
 _MANIFEST = {"format": lambda v: v == "CDCK", "version": lambda v: v == VERSION,
              "tensors": lambda v: _is_list(v, _is_tensor),
              "meta": lambda v: isinstance(v, dict)}
-_MODEL_META = {"config": _is_model_config, "schedule": _is_schedule,
+_MODEL_META = {"config": lambda v: is_section("model", v),
+               "schedule": lambda v: is_section("schedule", v),
                "vocab": lambda v: _is_vocabulary(v) and _is_int(v.get("start_token"))
                and v["start_token"] < len(v["tokens"]),
                "modifier_tokens": lambda v: _is_list(v, _is_modifier)}
-_DELTA_META = {"config": _is_model_config,
+_DELTA_META = {"config": lambda v: is_section("model", v),
                "energy_kept": _is_number,
                "modifier_names": lambda v: _is_strings(v) and _is_unique(v),
                "entries": lambda v: _is_list(v, _is_delta_entry) and _is_unique(

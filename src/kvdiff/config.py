@@ -1,5 +1,6 @@
 """Experiment configuration: the one table of defaults, the one table of
-rules (`_VALIDATORS`, applied by `check_section`), JSON loading.
+rules (`_VALIDATORS`, applied by `check_section` and `is_section`), JSON
+loading.
 
 Library signatures and dataclasses (`ModelConfig`, `NoiseSchedule.linear`,
 `FineTuneConfig`, `pretrain`, `ReferenceFeaturizer`) take their defaults from
@@ -135,14 +136,27 @@ def _merge_checked(base, override, path=()):
     return out
 
 
+def _rules(section, key):
+    """The (check, what the value must be) pairs of config value
+    `section.key`, in order: its default's kind, then its `_VALIDATORS` rule."""
+    return (_KINDS[type(DEFAULT_CONFIG[section][key])],
+            _VALIDATORS.get((section, key), (lambda v: True, "")))
+
+
 def check_section(section, values):
     """Check `values`, a mapping of some keys of config `section`: each value
     must have its default's kind (`_KINDS`) and pass its `_VALIDATORS` rule."""
     for key, value in values.items():
-        for check, what in (_KINDS[type(DEFAULT_CONFIG[section][key])],
-                            _VALIDATORS.get((section, key), (lambda v: True, ""))):
+        for check, what in _rules(section, key):
             if not check(value):
                 raise InvalidInput(f"{section}.{key} must be {what}, got {value!r}")
+
+
+def is_section(section, values):
+    """Whether `values` is a whole config `section`: a table of exactly its
+    keys, each value passing the rules check_section applies."""
+    return (isinstance(values, dict) and values.keys() == DEFAULT_CONFIG[section].keys()
+            and all(check(v) for k, v in values.items() for check, _ in _rules(section, k)))
 
 
 def load_config(path=None, overrides=None):

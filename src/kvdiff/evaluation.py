@@ -18,9 +18,6 @@ class ReferenceFeaturizer:
                  seed=_FEATURIZER["seed"]):
         check_section("featurizer", {"feature_dim": feature_dim, "seed": seed})
         self.image_shape = tuple(image_shape)
-        self.text_dim = text_dim
-        self.feature_dim = feature_dim
-        self.seed = seed
         n = image_shape[0] * image_shape[1]
         rng = np.random.default_rng(seed)
         self._img_proj = rng.normal(0.0, 1.0 / np.sqrt(n), size=(feature_dim, n))

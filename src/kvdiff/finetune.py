@@ -1,7 +1,7 @@
 """Selective fine-tuning: gradient descent on the noise-prediction loss
 restricted to cross-attention key/value projections plus modifier-token
-embeddings, the fine-tune-all baseline, joint and sequential multi-concept
-training, and base-model pretraining."""
+embeddings, one in-place update for both, the fine-tune-all baseline, joint
+and sequential multi-concept training, and base-model pretraining."""
 
 from dataclasses import dataclass, field
 
@@ -43,24 +43,21 @@ class TrainReport:
 
 
 def trainable_set(model, scope):
-    """Registry keys updated under the given scope. Modifier embeddings are
-    handled separately from the registry."""
+    """Registry keys updated under the given scope. Modifier embedding rows
+    are not registry entries; _train updates them beside these keys."""
     check_section("train", {"trainable_scope": scope})
     return {k for k in model.params if scope == SCOPE_ALL or k.role in KV_ROLES}
 
 
-def sgd_step(params, grads, lr):
-    """p <- p - lr * g for every key present in grads. Pure: returns new dict."""
-    out = {}
-    for k, p in params.items():
-        g = grads.get(k)
-        if g is None:
-            out[k] = p.copy()
-            continue
-        if not np.all(np.isfinite(g)):
+def sgd_step(arrays, grads, lr):
+    """arrays[k] -= lr * g in place for every key k of grads, once every
+    gradient is known to be finite: a NumericalFailure changes no array.
+    An array with no gradient is left untouched."""
+    for k, g in grads.items():
+        if not np.isfinite(g).all():
             raise NumericalFailure(f"non-finite gradient for {k}")
-        out[k] = p - lr * g
-    return out
+    for k, g in grads.items():
+        arrays[k] -= lr * g
 
 
 def batch_gradients(model, examples, sched, rng, modifier_indices=(),
@@ -125,10 +122,17 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
 def _train(model, targets, reg, cfg, sched, modifier_indices):
     """Train `model` in place on balanced target/regularization batches, every
     draw from one generator seeded with cfg.seed; `reg` is unused under use_reg none.
-    Every step's forward and backward pass share one denoiser workspace."""
+    Every step's forward and backward pass share one denoiser workspace, and
+    one sgd_step updates the arrays training changes: the scope's registry
+    arrays and, under cfg.train_modifier, views of the modifier rows of the
+    vocabulary's embeddings, keyed by token index as batch_gradients keys
+    their gradients."""
     rng = np.random.default_rng(cfg.seed)
     workspace = {}
     trainable = trainable_set(model, cfg.trainable_scope)
+    mods = modifier_indices if cfg.train_modifier else ()
+    arrays = {**{k: model.params[k] for k in trainable},
+              **{i: model.vocab.embeddings[i] for i in mods}}
     stream = datamod.balanced_batches(targets, reg if cfg.use_reg != "none" else None,
                                       cfg.batch, rng)
     sched = sched or diffusion.NoiseSchedule.linear()
@@ -143,17 +147,9 @@ def _train(model, targets, reg, cfg, sched, modifier_indices):
             else:
                 batch.append(ex)
         loss, grads, emb_grads = batch_gradients(
-            model, batch, sched, rng,
-            modifier_indices=modifier_indices if cfg.train_modifier else (),
+            model, batch, sched, rng, modifier_indices=mods,
             cond_dropout=cfg.cond_dropout, keys=trainable, workspace=workspace)
-        updated = sgd_step({k: model.params[k] for k in trainable}, grads,
-                           cfg.learning_rate)
-        for k, v in updated.items():
-            model.params[k] = v
-        for idx, g in emb_grads.items():      # empty unless cfg.train_modifier
-            if not np.all(np.isfinite(g)):
-                raise NumericalFailure(f"non-finite modifier gradient (token {idx})")
-            model.vocab.embeddings[idx] -= cfg.learning_rate * g
+        sgd_step(arrays, {**grads, **emb_grads}, cfg.learning_rate)
         loss_curve.append(loss)
         if initial_loss is None:
             initial_loss = max(loss, 1e-12)

@@ -9,9 +9,6 @@ column j of V is W_owner(j) c_j^T. The closed form is
 
     W_hat = W0 + v^T d,   d = C (C_reg^T C_reg)^{-1},
     v^T = (V - W0 C^T) (d C^T)^{-1}.
-
-A generic per-row KKT solve provides an independent oracle for the same
-optimum.
 """
 
 from dataclasses import dataclass
@@ -111,34 +108,6 @@ def solve_closed_form(problem):
         objective_value=analysis.frobenius_norm((w_hat - w0) @ problem.reg_features.T),
         conditioning=float(sv[-1]),
         ridge_applied=ridge)
-
-
-def solve_kkt_oracle(problem):
-    """Independent route: per output row w_i solve the stationarity system
-
-        [[G, C^T], [C, 0]] [w_i; lam] = [G w0_i; v_i]
-
-    with G = C_reg^T C_reg, via a generic dense solve."""
-    c = problem.target_features
-    w0 = problem.w0
-    v_mat = build_targets(problem)
-    g, _ = _gram(problem)
-    d = w0.shape[1]
-    s = c.shape[0]
-    kkt = np.zeros((d + s, d + s))
-    kkt[:d, :d] = g
-    kkt[:d, d:] = c.T
-    kkt[d:, :d] = c
-    rhs = np.zeros((d + s, w0.shape[0]))
-    rhs[:d] = g @ w0.T
-    rhs[d:] = v_mat.T
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTargetSystem(f"KKT system singular: {exc}") from None
-    if not np.all(np.isfinite(sol)):
-        raise SingularTargetSystem("KKT solve produced non-finite values")
-    return sol[:d].T
 
 
 def extract_target_words(caption):

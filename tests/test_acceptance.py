@@ -11,6 +11,7 @@ from kvdiff import analysis, checkpoint, denoiser, diffusion, evaluation, finetu
 from kvdiff import fixtures, merge, textmod
 from kvdiff.cli import run_command
 from kvdiff.denoiser import ParamKey, ROLE_CROSS_KEY, ROLE_CROSS_VALUE
+from oracles import solve_kkt
 
 
 def _report(capsys, index, label, ok, detail=""):
@@ -50,7 +51,7 @@ def test_merge_closed_form_correctness(capsys):
         res = sol.constraint_residual / max(1.0, np.linalg.norm(v_mat))
         worst_res = max(worst_res, res)
 
-        w_kkt = merge.solve_kkt_oracle(prob)
+        w_kkt = solve_kkt(prob, sol.ridge_applied)
         rel = np.linalg.norm(w_kkt - sol.w_hat) / max(np.linalg.norm(w_kkt), 1.0)
         worst_kkt = max(worst_kkt, rel)
 

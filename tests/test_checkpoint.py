@@ -231,6 +231,12 @@ MALFORMED = {
     "base without config": ("model", _drop("config", "meta")),
     "unknown config key": ("model delta",
                            lambda m: m["meta"]["config"].__setitem__("depth", 3)),
+    "config of zero blocks": ("model delta",
+                              lambda m: m["meta"]["config"].__setitem__("blocks", 0)),
+    "schedule of zero steps": ("model", lambda m: m["meta"]["schedule"].__setitem__("T", 0)),
+    "string beta_end": ("model", lambda m: m["meta"]["schedule"].__setitem__("beta_end", "0.02")),
+    "unknown schedule key": ("model",
+                             lambda m: m["meta"]["schedule"].__setitem__("beta_mid", 0.01)),
     "delta without entries": ("delta", _drop("entries", "meta")),
     "negative vocabulary scale": ("model",
                                   lambda m: m["meta"]["vocab"].__setitem__("scale", -1.0)),

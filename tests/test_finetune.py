@@ -1,4 +1,4 @@
-"""Fine-tuning scopes, SGD purity, config validation, divergence handling."""
+"""Fine-tuning scopes, the one SGD update, config validation, divergence handling."""
 
 import dataclasses
 import tracemalloc
@@ -9,7 +9,7 @@ import pytest
 from kvdiff import data as datamod
 from kvdiff import denoiser, diffusion, finetune, fixtures, textmod
 from kvdiff.denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
-from kvdiff.errors import DivergenceError, InvalidInput
+from kvdiff.errors import DivergenceError, InvalidInput, NumericalFailure
 
 
 def test_trainable_set_scopes(tiny_model):
@@ -21,17 +21,48 @@ def test_trainable_set_scopes(tiny_model):
         finetune.trainable_set(tiny_model, "decoder_only")
 
 
-def test_sgd_step_is_pure():
-    p = {"a": np.ones(3), "b": np.full(3, 2.0)}
-    g = {"a": np.ones(3)}
-    out = finetune.sgd_step(p, g, lr=0.5)
-    np.testing.assert_array_equal(out["a"], np.full(3, 0.5))
-    np.testing.assert_array_equal(out["b"], p["b"])
-    assert out["b"] is not p["b"]
-    np.testing.assert_array_equal(p["a"], np.ones(3))   # input untouched
-    from kvdiff.errors import NumericalFailure
-    with pytest.raises(NumericalFailure):
-        finetune.sgd_step(p, {"a": np.array([np.nan, 0, 0])}, lr=0.5)
+def _state(model):
+    return (b"".join(model.params[k].tobytes() for k in model.params.sorted_keys())
+            + model.vocab.embeddings.tobytes())
+
+
+def _train_one_step(monkeypatch, model, grads, emb_grads, lr):
+    """One _train step on `model` whose batch_gradients returns `grads` and
+    `emb_grads`, training the modifier rows that emb_grads names."""
+    monkeypatch.setattr(finetune, "batch_gradients", lambda *a, **k: (1.0, grads, emb_grads))
+    examples = [datamod.ConceptExample(image=np.zeros(model.image_shape),
+                                       caption="photo of a blob")] * 2
+    cfg = finetune.FineTuneConfig(steps=1, learning_rate=lr, batch=2, use_reg="none",
+                                  use_aug=False)
+    finetune._train(model, examples, None, cfg, None, tuple(emb_grads))
+
+
+def test_one_update_moves_weights_and_modifier_rows_in_place(tiny_model, monkeypatch):
+    """A training step's one sgd_step moves every registry array and modifier
+    row with a gradient by exactly -lr * g, in place, leaves an array without
+    one untouched, and checks every gradient before it changes any array."""
+    model, lr = tiny_model, 0.5
+    tok = textmod.register_modifier(model.vocab, "<new1>").token_index
+    kv = sorted(finetune.trainable_set(model, finetune.SCOPE_KV_ONLY))
+    rng = np.random.default_rng(0)
+    grads = {k: rng.standard_normal(model.params[k].shape) for k in kv[1:]}
+    emb_grads = {tok: rng.standard_normal(model.vocab.dim)}
+    arrays, table = dict(model.params), model.vocab.embeddings
+    before, row = {k: v.copy() for k, v in arrays.items()}, table[tok].copy()
+    _train_one_step(monkeypatch, model, grads, emb_grads, lr)
+    assert all(model.params[k] is arrays[k] for k in arrays)
+    assert model.vocab.embeddings is table
+    for k in arrays:
+        want = before[k] - lr * grads[k] if k in grads else before[k]
+        assert arrays[k].tobytes() == want.tobytes(), k
+    assert table[tok].tobytes() == (row - lr * emb_grads[tok]).tobytes()
+    # non-finite on a registry key, then on a modifier row: nothing moves
+    state = _state(model)
+    for bad, bad_emb in (({**grads, kv[2]: np.full(grads[kv[2]].shape, np.nan)}, emb_grads),
+                         (grads, {tok: np.full(model.vocab.dim, np.inf)})):
+        with pytest.raises(NumericalFailure):
+            _train_one_step(monkeypatch, model, bad, bad_emb, lr)
+        assert _state(model) == state
 
 
 def test_config_validation_and_round_trip():

@@ -9,6 +9,7 @@ from kvdiff.denoiser import ROLE_CROSS_KEY, ROLE_CROSS_VALUE
 from kvdiff.denoiser import DenoiserNet
 from kvdiff.errors import (DegenerateRegularization, InvalidInput, KVDiffError,
                            SingularTargetSystem, UnknownToken)
+from oracles import solve_kkt
 
 
 def _problem(seed=0, o=3, d=5, s=2, s_reg=8):
@@ -56,7 +57,7 @@ def test_closed_form_satisfies_constraints_and_matches_oracle():
     sol = merge.solve_closed_form(problem)
     v = merge.build_targets(problem)
     assert np.linalg.norm(sol.w_hat @ problem.target_features.T - v) < 1e-9
-    oracle = merge.solve_kkt_oracle(problem)
+    oracle = solve_kkt(problem, sol.ridge_applied)
     np.testing.assert_allclose(sol.w_hat, oracle, atol=1e-8)
 
 
@@ -161,6 +162,8 @@ def _assert_merge_meets_oracle(base, outcome, deltas, captions, reg_captions):
     c_rows, owners = merge._target_rows(
         vocab, captions, [{name for name, _ in d.modifier_embeddings} for d in deltas])
     creg = merge.reg_feature_rows(base.vocab, reg_captions)
+    # every K/V matrix shares C_reg, so the one solve's ridge is each one's
+    (ridge,) = [sol.ridge_applied for sol in outcome.solutions.values()]
     for key in base.params.sorted_keys():
         w_hat = outcome.model.params[key]
         w0 = base.params[key]
@@ -174,7 +177,7 @@ def _assert_merge_meets_oracle(base, outcome, deltas, captions, reg_captions):
             target_features=c_rows, owners=owners, reg_features=creg)
         v_mat = merge.build_targets(problem)
         assert np.linalg.norm(w_hat @ c_rows.T - v_mat) <= 1e-8 * np.linalg.norm(v_mat), key
-        w_kkt = merge.solve_kkt_oracle(problem)
+        w_kkt = solve_kkt(problem, ridge)
         assert np.linalg.norm(w_hat - w_kkt) <= 1e-6 * max(np.linalg.norm(w_kkt), 1.0), key
 
 
