@@ -137,8 +137,19 @@ def cmd_merge(args, cfg):
     return [args.out]
 
 
-def cmd_sample(args, cfg):
+def _load_model(args):
+    """The --model checkpoint, with the K/V delta checkpoint --delta applied
+    to it when given (analysis.apply_delta: a delta from another
+    architecture, or one whose modifier the model already holds, is an
+    input error)."""
     model, sched = checkpoint.load_model(args.model)
+    if args.delta is not None:
+        model = analysis.apply_delta(model, checkpoint.load_delta(args.delta))
+    return model, sched
+
+
+def cmd_sample(args, cfg):
+    model, sched = _load_model(args)
     steps = _sampler_steps(args, cfg, sched)
     img = diffusion.sample_prompt(model, args.prompt, 1, args.seed, sched, steps,
                                   cfg["sampler"]["scale"])[0]
@@ -180,7 +191,7 @@ def cmd_analyze(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    model, sched = checkpoint.load_model(args.model)
+    model, sched = _load_model(args)
     targets = datamod.load_dataset(args.targets)
     validation = datamod.load_dataset(args.validation) if args.validation is not None else None
     if not targets or args.num < 1:
@@ -208,6 +219,8 @@ def cmd_retrieve_reg(args, cfg):
 
 _REQUIRED = {"required": True}
 _SEED = {"type": int, "default": 0}
+_DELTA = {"help": "delta checkpoint whose K/V weights and modifier tokens are applied "
+                  "to --model at load time"}
 
 
 def _override_flags(*names):
@@ -232,16 +245,16 @@ COMMANDS = {
         "--targets": {"required": True, "help": "JSON: caption list per concept"},
         "--reg-captions": _REQUIRED}),
     "sample": (cmd_sample, "guided sampling from a checkpoint", {
-        "--model": _REQUIRED, "--prompt": _REQUIRED, **_override_flags("steps", "scale"),
-        "--seed": _SEED}),
+        "--model": _REQUIRED, "--delta": _DELTA, "--prompt": _REQUIRED,
+        **_override_flags("steps", "scale"), "--seed": _SEED}),
     "compress": (cmd_compress, "low-rank compression of a delta checkpoint",
                  {"--delta": _REQUIRED, "--energy": {"type": float, "required": True}}),
     "analyze": (cmd_analyze, "weight-change report and delta spectra",
                 {"--base": _REQUIRED, "--tuned": _REQUIRED, "--spectra": {}}),
     "eval": (cmd_eval, "alignment and KID metrics for a checkpoint", {
-        "--model": _REQUIRED, "--prompt": _REQUIRED, "--targets": _REQUIRED,
-        "--validation": {}, "--num": {"type": int, "default": 8}, "--seed": _SEED,
-        **_override_flags("steps", "scale")}),
+        "--model": _REQUIRED, "--delta": _DELTA, "--prompt": _REQUIRED,
+        "--targets": _REQUIRED, "--validation": {}, "--num": {"type": int, "default": 8},
+        "--seed": _SEED, **_override_flags("steps", "scale")}),
     "retrieve-reg": (cmd_retrieve_reg, "build a retrieved regularization set", {
         "--pool": _REQUIRED, "--vocab": _REQUIRED, "--target-caption": _REQUIRED,
         **_override_flags("threshold", "cap")}),

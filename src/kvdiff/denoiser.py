@@ -160,19 +160,9 @@ def build_model(cfg=None, *, seed, vocab=None):
     return DenoiserNet(config=cfg, params=init_params(cfg, seed), vocab=vocab)
 
 
-def _buf(ws, name, shape):
-    """The workspace array `name` of `ws`, reallocated when its shape differs
-    from `shape`: a cross-attention array changes with the longest caption."""
-    a = ws.get(name)
-    if a is None or a.shape != shape:
-        a = ws[name] = np.empty(shape)
-    return a
-
-
-def _mm(ws, name, a, b):
-    """a @ b written into the workspace array `name` (2-D, or stacked 3-D
-    with equal stack sizes)."""
-    return np.matmul(a, b, out=_buf(ws, name, a.shape[:-1] + b.shape[-1:]))
+_W_PIX = ParamKey(0, ROLE_OTHER, "w_pix")
+_W_TIME = ParamKey(0, ROLE_OTHER, "w_time")
+_W_OUT = ParamKey(0, ROLE_OTHER, "w_out")
 
 
 def _blocks(a, n, shape):
@@ -184,57 +174,174 @@ def _blocks(a, n, shape):
     return [a[:, i * w:(i + 1) * w].reshape(shape) for i in range(n)]
 
 
-def _attend(q, k, v, key_bias, ws):
-    """Single-head softmax attention of the queries q (B, N, dp) over the
-    keys k and values v (B, S, dp), the one kernel of both attention
-    sublayers. q comes from a query weight that already holds the
-    1/sqrt(dp) scale. key_bias (B, S) is added to every query's logits: 0
-    for a real key and -inf for padding, which gets exactly zero weight.
+def _key_major(b, s, n):
+    """A (B, S, N) array for the S keys and N queries of B examples, and its
+    (B, N, S) transpose: attention's logits e, or their gradient dz."""
+    a = np.empty((b, s, n))
+    return a, a.transpose(0, 2, 1)
 
-    The softmax is left unnormalized: the cache holds e = exp(logits - max),
+
+def _attention(q, s):
+    """The arrays of one attention sublayer over s keys, as _attend() writes
+    and _attn_backward() reads them, with their fixed views: the queries q
+    (B, N, dp), a view into the array their projection is written into, and
+    its transpose qT; the logits e (B, S, N), key-major, and eT; the logits'
+    max; each query's sum s_q (B, N) and s_q3, its (B, N, 1) view; the
+    output h3 (B, N, dp) and h, its (B*N, dp) rows. Its keys and values "k"
+    and "v" (B, S, dp) are set by the caller."""
+    b, n, dp = q.shape
+    h3, s_q = np.empty((b, n, dp)), np.empty((b, n))
+    a = {"q": q, "qT": q.transpose(0, 2, 1), "max": np.empty((b, 1, n)),
+         "s_q": s_q, "s_q3": s_q[:, :, None], "h3": h3, "h": h3.reshape(b * n, dp)}
+    a["e"], a["eT"] = _key_major(b, s, n)
+    return a
+
+
+class _Binding:
+    """A workspace's arrays for one batch size of one architecture, built
+    once with their fixed views, and the number of keys S of the
+    cross-attention they are shaped for (the longest caption).
+
+    blocks lists one dict per block, as forward()'s cache lists them: the
+    block's input "f" (f0 for block 1, the output "out" of the block before
+    for the others); the cross-attention queries "cq"; the fused
+    self-attention projection "qkv", whose column blocks are that
+    sublayer's q, k and v; the activations "f1", "f2" and "r"; and each
+    attention sublayer's _attention() arrays, "ca" and "sa". scratch holds
+    backward()'s arrays, one set the blocks share, built by its first call
+    (a sampling loop never needs them): the gradients of the MLP and of the
+    sublayers' inputs, the q, k and v gradients as column blocks of dqkv
+    (self-attention) and of dq and dkv (cross-attention), and each
+    sublayer's dz, key-major like its e, with the arrays both sublayers use
+    in turn (dh, its (B, N, dp) view and transpose, dhh and rowsum).
+
+    Only the arrays whose shape holds S are rebuilt when S changes
+    (bind_keys()): the cross-attention logits, and backward's dz, dkv and
+    dc."""
+
+    def __init__(self, cfg, bsz, s):
+        n, d, dp = cfg.n_tokens, cfg.d_model, cfg.d_attn
+        rows = bsz * n
+        self.cfg, self.bsz, self.s, self.scratch = cfg, bsz, s, None
+        self.f0 = f = np.empty((rows, d))
+        self.f0_3 = f.reshape(bsz, n, d)
+        self.blocks = []
+        for _ in range(cfg.blocks):
+            cq, qkv = np.empty((rows, dp)), np.empty((rows, 3 * dp))
+            q, k, v = _blocks(qkv, 3, (bsz, n, dp))
+            sa = _attention(q, n)
+            sa["k"], sa["v"] = k, v
+            bc = {"f": f, "cq": cq, "ca": _attention(cq.reshape(bsz, n, dp), s),
+                  "f1": np.empty((rows, d)), "qkv": qkv, "sa": sa,
+                  "f2": np.empty((rows, d)), "r": np.empty((rows, cfg.hidden)),
+                  "out": np.empty((rows, d))}
+            self.blocks.append(bc)
+            f = bc["out"]
+        self.out = f
+
+    def bind_keys(self, s):
+        """Rebuild the arrays whose shape holds S for s keys."""
+        self.s = s
+        for bc in self.blocks:
+            ca = bc["ca"]
+            ca["e"], ca["eT"] = _key_major(self.bsz, s, self.cfg.n_tokens)
+        if self.scratch is not None:
+            self._bind_scratch_keys()
+
+    def backward_scratch(self):
+        """backward()'s arrays, built on the first call."""
+        if self.scratch is None:
+            cfg, bsz = self.cfg, self.bsz
+            n, d, dp, hidden = cfg.n_tokens, cfg.d_model, cfg.d_attn, cfg.hidden
+            rows = bsz * n
+            dh, rowsum = np.empty((rows, dp)), np.empty((bsz, n))
+            dh3 = dh.reshape(bsz, n, dp)
+            shared = {"dh": dh, "dh3": dh3, "dhT": dh3.transpose(0, 2, 1),
+                      "dhh": np.empty((bsz, n, dp)), "rowsum": rowsum,
+                      "rowsum_b": rowsum[:, None, :]}
+            dqkv, dq = np.empty((rows, 3 * dp)), np.empty((rows, dp))
+            sa = dict(shared)
+            sa["dq"], sa["dk"], sa["dv"] = _blocks(dqkv, 3, (bsz, n, dp))
+            sa["dz"], sa["dzT"] = _key_major(bsz, n, n)
+            self.scratch = {
+                "df": np.empty((rows, d)), "dh1": np.empty((rows, hidden)),
+                "dtanh": np.empty((rows, hidden)), "df2": np.empty((rows, d)),
+                "df1": np.empty((rows, d)), "dqkv": dqkv, "dq": dq, "sa": sa,
+                "ca": {**shared, "dq": dq.reshape(bsz, n, dp)}}
+            self._bind_scratch_keys()
+        return self.scratch
+
+    def _bind_scratch_keys(self):
+        sc, bsz, s, dp = self.scratch, self.bsz, self.s, self.cfg.d_attn
+        ca = sc["ca"]
+        ca["dz"], ca["dzT"] = _key_major(bsz, s, self.cfg.n_tokens)
+        dkv = sc["dkv"] = np.empty((bsz * s, 2 * dp))
+        ca["dk"], ca["dv"] = _blocks(dkv, 2, (bsz, s, dp))
+        dc = sc["dc"] = np.empty((bsz * s, self.cfg.d_text))
+        sc["dc3"] = dc.reshape(bsz, s, -1)
+
+
+def _binding(ws, cfg, bsz, s):
+    """The workspace dict ws's binding for a batch of bsz examples of the
+    architecture cfg, built on first use (and anew for another ModelConfig
+    object), with its arrays shaped for s keys of cross-attention."""
+    b = ws.get(bsz)
+    if b is None or b.cfg is not cfg:
+        b = ws[bsz] = _Binding(cfg, bsz, s)
+    elif b.s != s:
+        b.bind_keys(s)
+    return b
+
+
+def _attend(a, key_bias):
+    """Single-head softmax attention of the sublayer arrays `a`
+    (_attention()): its queries a["q"] (B, N, dp) over its keys a["k"] and
+    values a["v"] (B, S, dp), the one kernel of both attention sublayers.
+    The queries come from a query weight that already holds the 1/sqrt(dp)
+    scale. key_bias (B, S) is added to every query's logits: 0 for a real
+    key and -inf for padding, which gets exactly zero weight.
+
+    The softmax is left unnormalized: a["e"] holds e = exp(logits - max),
     key-major, a (B, S, N) with e[b, j, i] the term of key j for query i, so
     the max and the sum reduce across its S rows and broadcast along its
-    contiguous query axis, and each query's sum s_q (B, N). The output h =
-    (e^T v) / s_q, as (B*N, dp) rows, is divided instead of the (B, S, N)
-    weights. The cache holds q, k and v too; its other arrays are those of
-    the workspace `ws`."""
-    b, n, _ = q.shape
-    e = _mm(ws, "e", k, q.transpose(0, 2, 1))
+    contiguous query axis, and a["s_q"] each query's sum. The output h =
+    (e^T v) / s_q, written to a["h3"] (so also its rows a["h"]), is divided
+    instead of the (B, S, N) weights."""
+    e = np.matmul(a["k"], a["qT"], out=a["e"])
     if key_bias is not None:
         e += key_bias[:, :, None]
     # the reductions as ufunc methods, which skip np.max's and np.sum's
     # Python-level dispatch
-    e -= np.maximum.reduce(e, axis=1, keepdims=True, out=_buf(ws, "max", (b, 1, n)))
+    e -= np.maximum.reduce(e, axis=1, keepdims=True, out=a["max"])
     np.exp(e, out=e)
-    s_q = np.add.reduce(e, axis=1, out=_buf(ws, "s_q", (b, n)))
-    h = _mm(ws, "h", e.transpose(0, 2, 1), v)
-    h /= s_q[:, :, None]
-    return {"q": q, "k": k, "v": v, "e": e, "s_q": s_q, "h": h.reshape(b * n, -1)}
+    np.add.reduce(e, axis=1, out=a["s_q"])
+    h = np.matmul(a["eT"], a["v"], out=a["h3"])
+    h /= a["s_q3"]
 
 
-def _attn_backward(cache, dout, ko, p, want, grads, dq, dk, dv, ws):
-    """Backprop through one _attend() and its output projection p[ko], for
-    dout given as rows like the cache's h: the gradient of ko, summed over
-    the batch, goes into grads when ko is in `want`, and the gradients of the
-    kernel's q, k and v are written into dq, dk and dv, arrays of their
-    shapes that the caller passes (views into one fused array). The
-    normalization moves onto dh as it did onto h: with dh /= s_q, the
-    softmax weights A = e / s_q drop out, dv = e dh and dz = e * (v dh^T -
-    rowsum(dh * h)), key-major like e. Scratch arrays come from `ws`."""
+def _attn_backward(a, g, dout, ko, p, want, grads):
+    """Backprop through one _attend() on the sublayer arrays `a` and its
+    output projection p[ko], for dout given as rows like a["h"]: the
+    gradient of ko, summed over the batch, goes into grads when ko is in
+    `want`, and the gradients of the kernel's q, k and v are written into
+    g["dq"], g["dk"] and g["dv"], views into one fused array of the
+    sublayer's backward scratch g. The normalization moves onto dh as it did
+    onto h: with dh /= s_q, the softmax weights A = e / s_q drop out, dv = e
+    dh and dz = e * (v dh^T - rowsum(dh * h)), key-major like e."""
     if ko in want:
-        grads[ko] = dout.T @ cache["h"]
-    e, q, k, v = cache["e"], cache["q"], cache["k"], cache["v"]
-    dh = _mm(ws, "dh", dout, p[ko]).reshape(q.shape)
-    dh /= cache["s_q"][:, :, None]
-    np.matmul(e, dh, out=dv)
+        grads[ko] = dout.T @ a["h"]
+    np.matmul(dout, p[ko], out=g["dh"])
+    dh = g["dh3"]
+    dh /= a["s_q3"]
+    np.matmul(a["e"], dh, out=g["dv"])
     # dz = A * (dA - colsum(A * dA)) with dA = V (s_q dh)^T, computed in
     # place; colsum(A * dA) = s_q rowsum(dh * h), since h = A^T V
-    dz = _mm(ws, "dz", v, dh.transpose(0, 2, 1))
-    dhh = np.multiply(dh, cache["h"].reshape(q.shape), out=_buf(ws, "dhh", q.shape))
-    dz -= np.add.reduce(dhh, axis=2, out=_buf(ws, "rowsum", q.shape[:2]))[:, None, :]
-    dz *= e
-    np.matmul(dz.transpose(0, 2, 1), k, out=dq)
-    np.matmul(dz, q, out=dk)
+    dz = np.matmul(a["v"], g["dhT"], out=g["dz"])
+    np.add.reduce(np.multiply(dh, a["h3"], out=g["dhh"]), axis=2, out=g["rowsum"])
+    dz -= g["rowsum_b"]
+    dz *= a["e"]
+    np.matmul(g["dzT"], a["k"], out=g["dq"])
+    np.matmul(dz, a["q"], out=g["dk"])
 
 
 def _stacked_grads(dy, x, keys, want, grads, scale):
@@ -320,144 +427,137 @@ def forward(model, x_t, t, ctx, workspace=None):
     B images run as one (B*h*w, d_model) array of rows. Each attention
     sublayer runs one projection matmul in, with the weights the context
     holds (cross-attention's queries, self-attention's q, k and v as the
-    column blocks of one (B*h*w, 3*d_attn) array), then _attend(), whose
-    cache holds its unnormalized weights key-major, e (B, S, N), and each
-    query's sum s_q, and one matmul back through the output projection.
+    column blocks of one (B*h*w, 3*d_attn) array), then _attend(), which
+    keeps its unnormalized weights key-major, e (B, S, N), and each query's
+    sum s_q, and one matmul back through the output projection.
 
     `workspace` is a dict the caller keeps across calls (a fresh one when
-    None): the pass writes its large arrays, and backward() its scratch
-    arrays, into the workspace's arrays of the same shape, so a loop that
-    keeps one allocates them once. The cache holds views into it, valid until
-    the next call with that workspace, and into ctx; eps never does.
-    Returns (eps (B, H, W), cache)."""
+    None). It holds one binding per batch size (_Binding): every array the
+    pass writes, and that backward() writes, allocated on the binding's
+    first use with the views the passes read, so a loop that keeps one
+    workspace allocates them once per batch size; a change of the longest
+    caption rebuilds only the arrays shaped by it. The cache holds views
+    into the binding, valid until the next call with that workspace and
+    batch size, and into ctx; eps never does. Returns (eps (B, H, W),
+    cache)."""
     cfg = model.config
     p = model.params
-    ws = {} if workspace is None else workspace
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.ndim != 3 or x_t.shape[0] < 1 or x_t.shape[1:] != (cfg.height, cfg.width):
         raise InvalidInput(f"expected images of shape (B, {cfg.height}, {cfg.width}) "
                            f"with B >= 1, got {x_t.shape}")
-    bsz, n, d = x_t.shape[0], cfg.n_tokens, cfg.d_model
+    bsz, d = x_t.shape[0], cfg.d_model
     t = np.asarray(t)
     if t.shape != (bsz,) or len(ctx.lengths) != bsz:
         raise InvalidInput(f"expected {bsz} timesteps and a context of {bsz} captions, "
                            f"got {t.shape} and {len(ctx.lengths)}")
+    b = _binding({} if workspace is None else workspace, cfg, bsz, ctx.c.shape[1])
 
     x = x_t.reshape(-1)
     s_t = sinusoidal_embedding(t, d)
-    te = s_t @ p[ParamKey(0, ROLE_OTHER, "w_time")].T
+    te = s_t @ p[_W_TIME].T
     # the outer product of the pixels and w_pix as a matmul over a length-1
     # axis, which (unlike np.outer) needs no temporary buffers
-    f = _mm(ws, "f0", x[:, None], p[ParamKey(0, ROLE_OTHER, "w_pix")])
-    f3 = f.reshape(bsz, n, d)
-    f3 += model.pos
-    f3 += te[:, None, :]
+    np.matmul(x[:, None], p[_W_PIX], out=b.f0)
+    b.f0_3 += model.pos
+    b.f0_3 += te[:, None, :]
 
-    cache = {"x": x, "s_t": s_t, "ctx": ctx, "blocks": [], "ws": ws}
-    for l in range(1, cfg.blocks + 1):
-        wb = ws.setdefault(l, {})
-        cross, self_attn, mlp = _block_keys(l)
+    for l, bc in enumerate(b.blocks, start=1):
+        cross, self_attn, (k1, k2) = _block_keys(l)
         wcq, _, wqkv = ctx.w[l - 1]
-        bc = {"f": f}
+        f, ca = bc["f"], bc["ca"]
         # cross-attention first, so its output is decoded by the rest of the
         # block (and any later blocks) rather than feeding the output
         # projection directly
-        q = _mm(wb, "cq", f, wcq.T).reshape(bsz, n, -1)
-        bc["ca"] = _attend(q, *ctx.kv[l - 1], ctx.key_bias, wb.setdefault("ca", {}))
-        f1 = bc["f1"] = _mm(wb, "f1", bc["ca"]["h"], p[cross[3]].T)
+        np.matmul(f, wcq.T, out=bc["cq"])
+        ca["k"], ca["v"] = ctx.kv[l - 1]
+        _attend(ca, ctx.key_bias)
+        f1 = np.matmul(ca["h"], p[cross[3]].T, out=bc["f1"])
         f1 += f
         # self-attention
-        qkv = _mm(wb, "qkv", f1, wqkv.T)
-        bc["sa"] = _attend(*_blocks(qkv, 3, (bsz, n, -1)), None, wb.setdefault("sa", {}))
-        f2 = _mm(wb, "f2", bc["sa"]["h"], p[self_attn[3]].T)
+        np.matmul(f1, wqkv.T, out=bc["qkv"])
+        _attend(bc["sa"], None)
+        f2 = np.matmul(bc["sa"]["h"], p[self_attn[3]].T, out=bc["f2"])
         f2 += f1
         # residual MLP (tanh; smooth for finite-difference checks)
-        w1, w2 = map(p.__getitem__, mlp)
-        bc["f2"] = f2
-        r = bc["r"] = _mm(wb, "r", f2, w1.T)
+        r = np.matmul(f2, p[k1].T, out=bc["r"])
         np.tanh(r, out=r)
-        f = _mm(wb, "f", r, w2.T)
-        f += f2
-        cache["blocks"].append(bc)
-    cache["f_final"] = f
+        out = np.matmul(r, p[k2].T, out=bc["out"])
+        out += f2
     # readout scaled by 1/d_model so the trained head keeps a healthy norm
-    eps = (f @ p[ParamKey(0, ROLE_OTHER, "w_out")][0]) / d
-    return eps.reshape(x_t.shape), cache
+    eps = (b.out @ p[_W_OUT][0]) / d
+    return eps.reshape(x_t.shape), {"x": x, "s_t": s_t, "ctx": ctx, "binding": b,
+                                    "blocks": b.blocks}
 
 
 def backward(model, cache, d_eps, keys=None):
-    """Backprop through forward(). Its scratch arrays come from the workspace
-    of the forward pass that made `cache`, one set that the blocks share, as
-    they run one after another. Each attention sublayer writes its q, k and
-    v gradients as the column blocks of one array (self-attention's q, k and
-    v; cross-attention's k and v), so its input gradient is one matmul with
-    the context's stacked weights, and the gradients of its wanted stacked
-    weights one more (_stacked_grads()). Returns (grads, d_c): grads maps
-    each ParamKey in `keys` (every key when None) to its gradient summed
-    over the batch, and d_c lists each example's text-feature gradient, cut
-    back to its caption's length. Neither shares memory with the
-    workspace."""
+    """Backprop through forward(). It reads the activations of the binding
+    of the forward pass that made `cache` and writes into that binding's
+    backward scratch arrays, one set that the blocks share, as they run one
+    after another, built by the binding's first backward() call. Each
+    attention sublayer writes its q, k and v gradients as the column blocks
+    of one array (self-attention's q, k and v; cross-attention's k and v),
+    so its input gradient is one matmul with the context's stacked weights,
+    and the gradients of its wanted stacked weights one more
+    (_stacked_grads()). Returns (grads, d_c): grads maps each ParamKey in
+    `keys` (every key when None) to its gradient summed over the batch, and
+    d_c lists each example's text-feature gradient, cut back to its
+    caption's length. Neither shares memory with the workspace."""
     cfg = model.config
     p = model.params
     want = set(p) if keys is None else set(keys)
     grads = {}
-    x, ctx = cache["x"], cache["ctx"]
+    x, ctx, b = cache["x"], cache["ctx"], cache["binding"]
     bsz, s = ctx.c.shape[:2]
     crows = ctx.c.reshape(bsz * s, -1)
     d_c = np.zeros_like(ctx.c)
-    d, n, dp = cfg.d_model, cfg.n_tokens, cfg.d_attn
-    scale = dp ** -0.5
+    d = cfg.d_model
+    scale = cfg.d_attn ** -0.5
 
     deps = np.asarray(d_eps, dtype=np.float64).reshape(x.shape)
-    k_out = ParamKey(0, ROLE_OTHER, "w_out")
-    if k_out in want:
-        grads[k_out] = (cache["f_final"].T @ deps)[None, :] / d
-    scratch = cache["ws"].setdefault("backward", {})
-    df = _mm(scratch, "df", deps[:, None], p[k_out])
+    if _W_OUT in want:
+        grads[_W_OUT] = (b.out.T @ deps)[None, :] / d
+    sc = b.backward_scratch()
+    df = np.matmul(deps[:, None], p[_W_OUT], out=sc["df"])
     df /= d
 
-    for l, bc in zip(range(cfg.blocks, 0, -1), reversed(cache["blocks"])):
+    for l, bc in zip(range(cfg.blocks, 0, -1), reversed(b.blocks)):
         cross, self_attn, (k1, k2) = _block_keys(l)
         wcq, wckv, wqkv = ctx.w[l - 1]
         r = bc["r"]
         # MLP residual
         if k2 in want:
             grads[k2] = df.T @ r
-        dh1 = _mm(scratch, "dh1", df, p[k2])
+        dh1 = np.matmul(df, p[k2], out=sc["dh1"])
         # 1 - r^2, the derivative of tanh
-        dtanh = np.square(r, out=_buf(scratch, "dtanh", r.shape))
+        dtanh = np.square(r, out=sc["dtanh"])
         np.subtract(1.0, dtanh, out=dtanh)
         dh1 *= dtanh
         if k1 in want:
             grads[k1] = dh1.T @ bc["f2"]
-        df2 = _mm(scratch, "df2", dh1, p[k1])
+        df2 = np.matmul(dh1, p[k1], out=sc["df2"])
         # the last read of df, the scratch array that this block's
         # cross-attention step overwrites
         df2 += df
         # self-attention residual
-        dqkv = _buf(scratch, "dqkv", (bsz * n, 3 * dp))
-        _attn_backward(bc["sa"], df2, self_attn[3], p, want, grads,
-                       *_blocks(dqkv, 3, (bsz, n, dp)), scratch.setdefault("sa", {}))
-        _stacked_grads(dqkv, bc["f1"], self_attn[:3], want, grads, scale)
-        df1 = _mm(scratch, "df1", dqkv, wqkv)
+        _attn_backward(bc["sa"], sc["sa"], df2, self_attn[3], p, want, grads)
+        _stacked_grads(sc["dqkv"], bc["f1"], self_attn[:3], want, grads, scale)
+        df1 = np.matmul(sc["dqkv"], wqkv, out=sc["df1"])
         df1 += df2
         # cross-attention residual
-        dq = _buf(scratch, "dq", (bsz * n, dp))
-        dkv = _buf(scratch, "dkv", (bsz * s, 2 * dp))
-        _attn_backward(bc["ca"], df1, cross[3], p, want, grads, dq.reshape(bsz, n, dp),
-                       *_blocks(dkv, 2, (bsz, s, dp)), scratch.setdefault("ca", {}))
-        _stacked_grads(dq, bc["f"], cross[:1], want, grads, scale)
-        _stacked_grads(dkv, crows, cross[1:3], want, grads, scale)
-        d_c += _mm(scratch, "dc", dkv, wckv).reshape(d_c.shape)
-        df = _mm(scratch, "df", dq, wcq)
+        _attn_backward(bc["ca"], sc["ca"], df1, cross[3], p, want, grads)
+        _stacked_grads(sc["dq"], bc["f"], cross[:1], want, grads, scale)
+        _stacked_grads(sc["dkv"], crows, cross[1:3], want, grads, scale)
+        np.matmul(sc["dkv"], wckv, out=sc["dc"])
+        d_c += sc["dc3"]
+        df = np.matmul(sc["dq"], wcq, out=sc["df"])
         df += df1
 
     # input embedding
-    k_pix, k_time = ParamKey(0, ROLE_OTHER, "w_pix"), ParamKey(0, ROLE_OTHER, "w_time")
-    if k_pix in want:
-        grads[k_pix] = (df.T @ x)[None, :]
-    if k_time in want:
-        grads[k_time] = df.reshape(bsz, -1, d).sum(axis=1).T @ cache["s_t"]
+    if _W_PIX in want:
+        grads[_W_PIX] = (df.T @ x)[None, :]
+    if _W_TIME in want:
+        grads[_W_TIME] = df.reshape(bsz, -1, d).sum(axis=1).T @ cache["s_t"]
     return grads, [d_c[i, :m] for i, m in enumerate(ctx.lengths)]
 
 

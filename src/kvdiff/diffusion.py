@@ -100,8 +100,13 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     caption padded); at scale == 1 the batch holds the conditional branch
     alone and uncond is never run. The predicted x0 is clipped to the image
     range [-1, 1]. The steps share one caption context, one batch buffer and
-    one denoiser workspace, and every step's coefficients are computed
-    before the first. Deterministic for a fixed seed.
+    one denoiser workspace, whose binding for the batch is built by the
+    first step. Every step's coefficients are computed, and the ancestral
+    noise of every step drawn from the sample's generator, before the
+    first; each step then combines the branches, estimates x0, clips it
+    and takes the posterior update in place, in the state x and in the
+    step's own arrays (its forward output and its noise). Deterministic for
+    a fixed seed.
     """
     check_section("sampler", {"scale": scale})
     if seed < 0:
@@ -122,21 +127,37 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
                       beta_eff * (1.0 - ab_p) / (1.0 - ab_t)))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(model.image_shape)
+    # one draw for the noise of every step with a positive variance (all
+    # but the last, where ab_p == 1): the values one draw per step gives
+    noise = iter(rng.standard_normal((sum(c[4] > 0 for c in coefs),) + x.shape))
     ctx = denoiser.context(model, captions)
     batch = np.empty((len(captions),) + x.shape)
     workspace = {}
     for t, (sd_t, sa_t, coef_x0, coef_xt, var) in zip(ts.tolist(), coefs):
         batch[:] = x
         eps, _ = denoiser.forward(model, batch, (t,) * len(captions), ctx, workspace)
-        eps_hat = eps[0] if scale == 1.0 else eps[1] + scale * (eps[0] - eps[1])
-        if not np.isfinite(eps_hat).all():
+        # eps_hat = eps_u + scale * (eps_c - eps_u), written over eps_c
+        g = eps[0]
+        if scale != 1.0:
+            g -= eps[1]
+            g *= scale
+            g += eps[1]
+        if not np.isfinite(g).all():
             raise NumericalFailure(f"non-finite noise prediction at t={t}")
-        x0_hat = np.clip((x - sd_t * eps_hat) / sa_t, -1.0, 1.0)
-        mean = coef_x0 * x0_hat + coef_xt * x
-        if var <= 0:        # the last step, where ab_p == 1
-            x = mean
-        else:
-            x = mean + math.sqrt(var) * rng.standard_normal(x.shape)
+        # x0_hat = clip((x - sd_t * eps_hat) / sa_t, -1, 1)
+        g *= sd_t
+        np.subtract(x, g, out=g)
+        g /= sa_t
+        np.maximum(g, -1.0, out=g)
+        np.minimum(g, 1.0, out=g)
+        # x = coef_x0 * x0_hat + coef_xt * x, plus sqrt(var) * noise
+        g *= coef_x0
+        x *= coef_xt
+        x += g
+        if var > 0:
+            z = next(noise)
+            z *= math.sqrt(var)
+            x += z
         if not np.isfinite(x).all():
             raise NumericalFailure(f"non-finite sample state at t={t}")
     return x

@@ -432,6 +432,80 @@ def test_sample_gives_both_its_files_a_manifest(tmp_path, cli_inputs):
             assert json.load(fh)["command"] == "sample"
 
 
+@pytest.fixture(scope="module")
+def delta_inputs(tmp_path_factory):
+    """A base whose readout is not zero; a delta of it with moved K/V
+    weights and the modifier <new1>, and the tuned model it came from; and
+    a delta of another architecture."""
+    d = tmp_path_factory.mktemp("delta_inputs")
+    rng = np.random.default_rng(21)
+    base = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
+    w_out = denoiser.ParamKey(0, denoiser.ROLE_OTHER, "w_out")
+    base.params[w_out] = rng.standard_normal(base.params[w_out].shape)
+    tuned = base.clone()
+    textmod.register_modifier(tuned.vocab, "<new1>")
+    for key in tuned.params:
+        if key.role in denoiser.KV_ROLES:
+            tuned.params[key] += 0.3 * rng.standard_normal(tuned.params[key].shape)
+    sched = diffusion.NoiseSchedule.linear(T=50)
+    checkpoint.save_model(str(d / "base.ckpt"), base, sched)
+    checkpoint.save_model(str(d / "tuned.ckpt"), tuned, sched)
+    checkpoint.save_delta(str(d / "delta.ckpt"), analysis.extract_delta(base, tuned))
+    other = denoiser.build_model(denoiser.ModelConfig(d_attn=6), seed=0,
+                                 vocab=fixtures.fixture_vocab())
+    checkpoint.save_delta(str(d / "other_delta.ckpt"), analysis.extract_delta(other, other))
+    return d
+
+
+def test_sample_and_eval_apply_a_delta_at_load_time(tmp_path, cli_inputs, delta_inputs):
+    """`sample --delta` gives the bytes of an in-process sample of
+    apply_delta(base, delta), and `eval --delta` the metrics of eval on that
+    model saved as a checkpoint; the modifier exists only with the delta."""
+    base, sched = checkpoint.load_model(str(delta_inputs / "base.ckpt"))
+    model = analysis.apply_delta(base, checkpoint.load_delta(str(delta_inputs / "delta.ckpt")))
+    prompt = "photo of a <new1> blob"
+    want = diffusion.sample_prompt(model, prompt, 1, 4, sched, 5, 6.0)[0]
+    out = tmp_path / "img.pgm"
+    common = ["--model", str(delta_inputs / "base.ckpt"), "--prompt", prompt, "--steps", "5",
+              "--seed", "4"]
+    assert run_command(["sample", "--delta", str(delta_inputs / "delta.ckpt"), *common,
+                        "--out", str(out)]) == 0
+    with open(f"{out}.json") as fh:
+        assert np.array(json.load(fh)["pixels"]).tobytes() == want.reshape(-1).tobytes()
+    write_pgm(str(tmp_path / "want.pgm"), want)
+    assert out.read_bytes() == (tmp_path / "want.pgm").read_bytes()
+    # without the delta the base has no <new1>
+    assert run_command(["sample", *common, "--out", str(tmp_path / "no.pgm")]) == 2
+
+    applied = str(tmp_path / "applied.ckpt")
+    checkpoint.save_model(applied, model, sched)
+    evals = ["eval", "--prompt", prompt, "--targets", str(cli_inputs / "concept_blob.json"),
+             "--num", "2", "--steps", "5"]
+    assert run_command(evals + ["--model", str(delta_inputs / "base.ckpt"),
+                                "--delta", str(delta_inputs / "delta.ckpt"),
+                                "--out", str(tmp_path / "m1.json")]) == 0
+    assert run_command(evals + ["--model", applied, "--out", str(tmp_path / "m2.json")]) == 0
+    assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("model,delta,message", [
+    ("tuned.ckpt", "delta.ckpt", "'<new1>' already in vocabulary"),
+    ("base.ckpt", "other_delta.ckpt", "architecture")])
+def test_a_delta_that_does_not_fit_the_model_exits_2(tmp_path, cli_inputs, delta_inputs, capsys,
+                                                     command, model, delta, message):
+    out = tmp_path / "out"
+    argv = [command, "--model", str(delta_inputs / model), "--delta", str(delta_inputs / delta),
+            "--prompt", "photo of a blob", "--steps", "3", "--out", str(out)]
+    if command == "eval":
+        argv += ["--targets", str(cli_inputs / "concept_blob.json"), "--num", "1"]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert message in err
+    assert not out.exists()
+
+
 def test_write_pgm(tmp_path):
     img = np.array([[-1.0, 0.0], [1.0, 0.5]])
     path = str(tmp_path / "img.pgm")

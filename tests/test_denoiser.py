@@ -37,6 +37,15 @@ def _project(f, c, wq, wk, wv):
     return f @ (wq.shape[0] ** -0.5 * wq).T, c @ wk.T, c @ wv.T
 
 
+def _attend(q, k, v, key_bias):
+    """The kernel run on a sublayer's arrays built for q and k's keys; the
+    arrays, e, s_q and the output rows h among them."""
+    a = denoiser._attention(q, k.shape[1])
+    a["k"], a["v"] = k, v
+    denoiser._attend(a, key_bias)
+    return a
+
+
 def _weights(cache):
     """The softmax weights (B, S, N), key-major: e divided by s_q."""
     return cache["e"] / cache["s_q"][:, None, :]
@@ -50,7 +59,7 @@ def test_cross_attention_matches_scalar_oracle():
     wk = rng.standard_normal((2, 4))
     wv = rng.standard_normal((2, 4))
     # the kernel forward() runs for both cross- and self-attention
-    cache = denoiser._attend(*(a[None] for a in _project(f, c, wq, wk, wv)), None, {})
+    cache = _attend(*(a[None] for a in _project(f, c, wq, wk, wv)), None)
     np.testing.assert_allclose(cache["h"], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
     # e is key-major, (B, S, N), and s_q its column sums: each query's
     # weights sum to 1
@@ -64,7 +73,7 @@ def test_cross_attention_matches_scalar_oracle():
     f2 = rng.standard_normal((5, 6))
     padded = np.stack([c, np.vstack([c2, 100.0 * np.ones((1, 4))])])
     bias = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf]])
-    cache = denoiser._attend(*_project(np.stack([f, f2]), padded, wq, wk, wv), bias, {})
+    cache = _attend(*_project(np.stack([f, f2]), padded, wq, wk, wv), bias)
     # h holds the rows of both images, one after the other
     np.testing.assert_allclose(cache["h"][:5], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
     np.testing.assert_allclose(cache["h"][5:], _scalar_attention(f2, c2, wq, wk, wv), atol=1e-12)
@@ -88,16 +97,56 @@ def test_fused_projection_blocks_are_views(tiny_model):
     cs = [rng.standard_normal((3, cfg.d_text)), rng.standard_normal((5, cfg.d_text))]
     ctx = denoiser.context(tiny_model, cs)
     ws = {}
-    _, cache = denoiser.forward(tiny_model, rng.standard_normal((2, cfg.height, cfg.width)),
-                                [4, 9], ctx, ws)
+    eps, cache = denoiser.forward(tiny_model, rng.standard_normal((2, cfg.height, cfg.width)),
+                                  [4, 9], ctx, ws)
     n, dp = cfg.n_tokens, cfg.d_attn
+    # the workspace's binding for a batch of 2 keeps each block's fused array
+    binding = ws[2]
     for l, bc in enumerate(cache["blocks"], start=1):
         k, v = ctx.kv[l - 1]
         assert k.shape == v.shape == (2, 5, dp)
         assert k.base is not None and k.base is v.base and k.base.shape == (2 * 5, 2 * dp)
-        qkv = ws[l]["qkv"]
+        qkv = binding.blocks[l - 1]["qkv"]
         assert qkv.shape == (2 * n, 3 * dp)
         assert all(np.shares_memory(bc["sa"][name], qkv) for name in "qkv")
+    # backward() writes self-attention's q, k and v gradients into the
+    # blocks of one array, and cross-attention's k and v into another
+    denoiser.backward(tiny_model, cache, np.ones_like(eps))
+    scratch = binding.scratch
+    assert scratch["dqkv"].shape == (2 * n, 3 * dp) and scratch["dkv"].shape == (2 * 5, 2 * dp)
+    assert all(np.shares_memory(scratch["sa"][name], scratch["dqkv"])
+               for name in ("dq", "dk", "dv"))
+    assert all(np.shares_memory(scratch["ca"][name], scratch["dkv"]) for name in ("dk", "dv"))
+
+
+def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(tiny_model):
+    """One workspace through batch sizes 8 -> 2 -> 8 and longest captions of
+    3 -> 6 -> 3 tokens (the shorter captions padded): the binding of each
+    batch size is built once and its arrays shaped by the longest caption
+    are rebuilt when it changes, so eps, every gradient and d_c keep the
+    bytes of a call with a fresh workspace. A view left on an array of the
+    old length (the logits, dz, the k and v gradient blocks, dc) changes
+    them or raises."""
+    cfg = tiny_model.config
+    rng = np.random.default_rng(11)
+    ws = {}
+    bindings = {}
+    for bsz, longest in ((8, 3), (8, 6), (2, 6), (2, 3), (8, 3), (2, 6), (8, 6)):
+        # the longest caption first, the others 1 to `longest` tokens long
+        lengths = [longest] + list(rng.integers(1, longest + 1, bsz - 1))
+        cs = [rng.standard_normal((m, cfg.d_text)) for m in lengths]
+        x = rng.standard_normal((bsz, cfg.height, cfg.width))
+        ts = list(rng.integers(1, 50, bsz))
+        d_eps = rng.standard_normal(x.shape)
+        ctx = denoiser.context(tiny_model, cs)
+        got = []
+        for workspace in (ws, None):
+            eps, cache = denoiser.forward(tiny_model, x, ts, ctx, workspace)
+            grads, d_c = denoiser.backward(tiny_model, cache, d_eps)
+            got.append([eps] + [grads[k] for k in tiny_model.params.sorted_keys()] + d_c)
+        assert [a.tobytes() for a in got[0]] == [a.tobytes() for a in got[1]], (bsz, longest)
+        assert set(ws) == set(bindings) | {bsz}
+        assert ws[bsz] is bindings.setdefault(bsz, ws[bsz])
 
 
 def test_forward_is_deterministic_and_validates_shapes(tiny_model):
