@@ -31,11 +31,9 @@ OVERRIDES = {"steps": ("sampler", "steps", int), "scale": ("sampler", "scale", f
              "cap": ("retrieval", "cap", int)}
 
 
-def _featurizer(cfg):
-    m = cfg["model"]
-    return evaluation.ReferenceFeaturizer(
-        image_shape=(m["height"], m["width"]), text_dim=m["d_text"],
-        feature_dim=cfg["featurizer"]["feature_dim"], seed=cfg["featurizer"]["seed"])
+def _featurizer(cfg, vocab, image_shape):
+    """The config's reference featurizer, sized for `vocab` and `image_shape`."""
+    return evaluation.ReferenceFeaturizer(image_shape, vocab.dim, **cfg["featurizer"])
 
 
 def write_pgm(path, image):
@@ -107,7 +105,7 @@ def cmd_finetune(args, cfg):
         _check_image_shape(args.reg_pool, pool, loaded.image_shape)
         reg = datamod.retrieve_regularization(
             pool, target_caption, cfg["retrieval"]["threshold"], cfg["retrieval"]["cap"],
-            _featurizer(cfg).caption_featurizer(base.vocab))
+            _featurizer(cfg, base.vocab, loaded.image_shape).caption_featurizer(base.vocab))
     elif tcfg.use_reg == "generated":
         words = merge.extract_target_words(target_caption)
         if not words:
@@ -202,7 +200,8 @@ def cmd_eval(args, cfg):
                                         _sampler_steps(args, cfg, sched),
                                         cfg["sampler"]["scale"])
     _write_json(args.out, evaluation.model_metrics(
-        generated, [t.image for t in targets], args.prompt, _featurizer(cfg), model.vocab,
+        generated, [t.image for t in targets], args.prompt,
+        _featurizer(cfg, model.vocab, model.image_shape), model.vocab,
         validation=None if validation is None else [v.image for v in validation]))
     return [args.out]
 
@@ -210,9 +209,11 @@ def cmd_eval(args, cfg):
 def cmd_retrieve_reg(args, cfg):
     pool = datamod.load_dataset(args.pool)
     vocab = textmod.load_vocabulary(args.vocab)
+    # no model is loaded, so the featurizer's image size is the config's
+    feat = _featurizer(cfg, vocab, (cfg["model"]["height"], cfg["model"]["width"]))
     reg = datamod.retrieve_regularization(
         pool, args.target_caption, cfg["retrieval"]["threshold"], cfg["retrieval"]["cap"],
-        _featurizer(cfg).caption_featurizer(vocab))
+        feat.caption_featurizer(vocab))
     datamod.save_dataset(reg.examples, args.out)
     return [args.out]
 

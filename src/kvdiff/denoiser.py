@@ -7,7 +7,7 @@ projections. Layer 0 holds the input/output plumbing; blocks are 1..L.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -114,8 +114,12 @@ def sinusoidal_embedding(pos, dim):
     return emb
 
 
+@functools.cache
 def positional_grid(cfg):
-    return sinusoidal_embedding(np.arange(cfg.n_tokens), cfg.d_model)
+    """The position embedding of the architecture cfg, cached and read-only."""
+    grid = sinusoidal_embedding(np.arange(cfg.n_tokens), cfg.d_model)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass
@@ -131,17 +135,10 @@ class DenoiserNet:
     config: ModelConfig
     params: ParamRegistry
     vocab: object = None
-    _pos: np.ndarray = field(default=None, repr=False)
 
     @property
     def image_shape(self):
         return (self.config.height, self.config.width)
-
-    @property
-    def pos(self):
-        if self._pos is None:
-            self._pos = positional_grid(self.config)
-        return self._pos
 
     def predict(self, x_t, t, c):
         """Predicted noise for one image x_t at step t under caption features
@@ -299,7 +296,7 @@ def _attend(a, key_bias):
     values a["v"] (B, S, dp), the one kernel of both attention sublayers.
     The queries come from a query weight that already holds the 1/sqrt(dp)
     scale. key_bias (B, S) is added to every query's logits: 0 for a real
-    key and -inf for padding, which gets exactly zero weight.
+    key and -inf for padding, which gets exactly zero weight (None: no bias).
 
     The softmax is left unnormalized: a["e"] holds e = exp(logits - max),
     key-major, a (B, S, N) with e[b, j, i] the term of key j for query i, so
@@ -372,13 +369,12 @@ def _block_keys(l):
 class Context(NamedTuple):
     """B captions as forward() reads them: their features padded to the
     longest, c (B, S, d_text); each caption's length; key_bias (B, S), 0 for
-    a real key and -inf for padding (None when no caption is padded); each
-    block's cross-attention keys and values, kv[l - 1] = (k, v), each
-    (B, S, d_attn) and a column block of one (B*S, 2*d_attn) array; and each
-    block's attention weights as forward() and backward() read them, w[l - 1]
-    = (s*wq cross, [wk; wv] cross, [s*wq; wk; wv] self), with s =
-    1/sqrt(d_attn) folded into the query weights and the rest stacked by
-    rows, one projection matmul each."""
+    a real key and -inf for padding; each block's cross-attention keys and
+    values, kv[l - 1] = (k, v), each (B, S, d_attn) and a column block of
+    one (B*S, 2*d_attn) array; and each block's attention weights as
+    forward() and backward() read them, w[l - 1] = (s*wq cross, [wk; wv]
+    cross, [s*wq; wk; wv] self), with s = 1/sqrt(d_attn) folded into the
+    query weights and the rest stacked by rows, one projection matmul each."""
     c: np.ndarray
     lengths: list
     key_bias: np.ndarray
@@ -399,14 +395,10 @@ def context(model, captions):
                            f"(s, {cfg.d_text}) with s >= 1")
     lengths = [cb.shape[0] for cb in c]
     bsz, s = len(c), max(lengths)
-    key_bias = None
-    if min(lengths) == s:
-        cpad = np.array(c)
-    else:
-        cpad = np.zeros((bsz, s, cfg.d_text))
-        for i, cb in enumerate(c):
-            cpad[i, :lengths[i]] = cb
-        key_bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, -np.inf)
+    cpad = np.zeros((bsz, s, cfg.d_text))
+    for i, cb in enumerate(c):
+        cpad[i, :lengths[i]] = cb
+    key_bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, -np.inf)
     rows = cpad.reshape(bsz * s, -1)
     scale = cfg.d_attn ** -0.5
     w, kv = [], []
@@ -459,7 +451,7 @@ def forward(model, x_t, t, ctx, workspace=None):
     # the outer product of the pixels and w_pix as a matmul over a length-1
     # axis, which (unlike np.outer) needs no temporary buffers
     np.matmul(x[:, None], p[_W_PIX], out=b.f0)
-    b.f0_3 += model.pos
+    b.f0_3 += positional_grid(cfg)
     b.f0_3 += te[:, None, :]
 
     for l, bc in enumerate(b.blocks, start=1):

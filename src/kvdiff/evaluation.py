@@ -35,7 +35,11 @@ class ReferenceFeaturizer:
         return self._normalize(np.tanh(self._img_proj @ image.reshape(-1)))
 
     def text_features(self, vocab, caption):
-        """Mean-pooled token embeddings of the modifier-stripped caption."""
+        """Mean-pooled token embeddings of the modifier-stripped caption; a
+        vocabulary of another width than text_dim is InvalidInput."""
+        if vocab.dim != self._txt_proj.shape[1]:
+            raise InvalidInput(f"the featurizer takes {self._txt_proj.shape[1]}-wide token "
+                               f"embeddings, the vocabulary's are {vocab.dim}-wide")
         seq = textmod.tokenize(vocab, textmod.strip_modifiers(vocab, caption))
         pooled = textmod.encode_caption(vocab, seq).mean(axis=0)
         return self._normalize(np.tanh(self._txt_proj @ pooled))

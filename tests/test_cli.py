@@ -422,6 +422,48 @@ def test_explicit_steps_beyond_the_checkpoint_chain_exit_2(tmp_path, cli_inputs,
     assert not os.path.exists(out)
 
 
+def test_configured_steps_are_capped_at_the_checkpoint_chain(tmp_path, cli_inputs):
+    """The config's sampler steps are checked against the T of the
+    checkpoint sampled from, not the config's schedule: pretrain never
+    samples, and `sample` caps configured steps at the checkpoint's T."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": {"T": 50}, "pretrain": {"steps": 2}}))
+    base = str(tmp_path / "t50.ckpt")
+    assert run_command(["pretrain", "--config", str(cfg), "--vocab", str(cli_inputs / "vocab.json"),
+                        "--data", str(cli_inputs / "pretrain.json"), "--out", base]) == 0
+    assert checkpoint.load_model(base)[1].T == 50
+    cfg.write_text(json.dumps({"sampler": {"steps": 300}}))
+    out = tmp_path / "img.pgm"
+    common = ["sample", "--model", str(cli_inputs / "base.ckpt"), "--prompt", "photo of a blob"]
+    assert run_command(common + ["--config", str(cfg), "--out", str(out)]) == 0
+    with open(f"{out}.json") as fh:
+        assert json.load(fh)["steps"] == 200
+    assert run_command(common + ["--steps", "300", "--out", str(tmp_path / "no.pgm")]) == 2
+
+
+def test_a_model_of_another_text_width_is_configured_at_pretrain_only(tmp_path, cli_inputs):
+    """A 12-wide vocabulary and model.d_text 12 are given to `pretrain`
+    alone: the commands after it featurize captions at the width of the
+    vocabulary they read, and images at the loaded model's size."""
+    spec = json.loads((cli_inputs / "vocab.json").read_text())
+    vocab = tmp_path / "vocab12.json"
+    vocab.write_text(json.dumps({**spec, "dim": 12}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"d_text": 12}, "pretrain": {"steps": 2}}))
+    base = str(tmp_path / "base12.ckpt")
+    assert run_command(["pretrain", "--config", str(cfg), "--vocab", str(vocab),
+                        "--data", str(cli_inputs / "pretrain.json"), "--out", base]) == 0
+    concept, pool = str(cli_inputs / "concept_blob.json"), str(cli_inputs / "reg_pool.json")
+    assert run_command(["eval", "--model", base, "--prompt", "photo of a blob", "--targets",
+                        concept, "--num", "1", "--steps", "2",
+                        "--out", str(tmp_path / "m.json")]) == 0
+    assert run_command(["finetune", "--model", base, "--concept", concept, "--modifier", "<new1>",
+                        "--reg-pool", pool, "--out", str(tmp_path / "tuned.ckpt")]) == 0
+    assert run_command(["retrieve-reg", "--pool", pool, "--vocab", str(vocab),
+                        "--target-caption", "photo of a blob",
+                        "--out", str(tmp_path / "reg.json")]) == 0
+
+
 def test_sample_gives_both_its_files_a_manifest(tmp_path, cli_inputs):
     out = tmp_path / "img.pgm"
     assert run_command(["sample", "--model", str(cli_inputs / "base.ckpt"),

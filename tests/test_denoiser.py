@@ -314,6 +314,16 @@ def test_init_zeroes_output_head():
     np.testing.assert_array_equal(model.predict(x, 1, c), np.zeros(model.image_shape))
 
 
+def test_positional_grid_is_one_read_only_array_per_architecture():
+    grid = denoiser.positional_grid(denoiser.ModelConfig())
+    assert denoiser.positional_grid(denoiser.ModelConfig()) is grid
+    np.testing.assert_array_equal(grid, denoiser.sinusoidal_embedding(np.arange(64), 16))
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1.0
+    other = denoiser.positional_grid(denoiser.ModelConfig(height=4, d_model=6))
+    assert other.shape == (32, 6) and not other.flags.writeable
+
+
 def test_traces_and_mean_attention_map(tiny_model):
     cfg = tiny_model.config
     rng = np.random.default_rng(5)

@@ -51,6 +51,12 @@ def test_text_features_strip_modifiers(feat, fx_vocab):
     assert np.linalg.norm(with_mod) == pytest.approx(1.0)
 
 
+def test_text_features_of_a_vocabulary_of_another_width_are_invalid_input(feat):
+    wide = textmod.build_vocabulary(["photo", "of", "a", "blob"], {"blob": 3}, dim=12)
+    with pytest.raises(InvalidInput, match="8-wide.*12-wide"):
+        feat.text_features(wide, "photo of a blob")
+
+
 def test_image_alignment_is_mean_cosine(feat):
     rng = np.random.default_rng(1)
     targets = [rng.uniform(-1, 1, (8, 8)) for _ in range(3)]
