@@ -182,14 +182,16 @@ def _attention(q, s):
     """The arrays of one attention sublayer over s keys, as _attend() writes
     and _attn_backward() reads them, with their fixed views: the queries q
     (B, N, dp), a view into the array their projection is written into, and
-    its transpose qT; the logits e (B, S, N), key-major, and eT; the logits'
-    max; each query's sum s_q (B, N) and s_q3, its (B, N, 1) view; the
-    output h3 (B, N, dp) and h, its (B*N, dp) rows. Its keys and values "k"
-    and "v" (B, S, dp) are set by the caller."""
+    "qT", the pair of its transposed view and the C-contiguous array
+    _attend() copies that view into; the logits e (B, S, N), key-major, and
+    eT; the logits' max; each query's sum s_q (B, N) and s_q3, its (B, N, 1)
+    view; the output h3 (B, N, dp) and h, its (B*N, dp) rows. Its keys and
+    values "k" and "v" (B, S, dp) are set by the caller."""
     b, n, dp = q.shape
     h3, s_q = np.empty((b, n, dp)), np.empty((b, n))
-    a = {"q": q, "qT": q.transpose(0, 2, 1), "max": np.empty((b, 1, n)),
-         "s_q": s_q, "s_q3": s_q[:, :, None], "h3": h3, "h": h3.reshape(b * n, dp)}
+    a = {"q": q, "qT": (q.transpose(0, 2, 1), np.empty((b, dp, n))),
+         "max": np.empty((b, 1, n)), "s_q": s_q, "s_q3": s_q[:, :, None], "h3": h3,
+         "h": h3.reshape(b * n, dp)}
     a["e"], a["eT"] = _key_major(b, s, n)
     return a
 
@@ -210,7 +212,9 @@ class _Binding:
     sublayers' inputs, the q, k and v gradients as column blocks of dqkv
     (self-attention) and of dq and dkv (cross-attention), and each
     sublayer's dz, key-major like its e, with the arrays both sublayers use
-    in turn (dh, its (B, N, dp) view and transpose, dhh and rowsum).
+    in turn (dh, its (B, N, dp) view, the pair "dhT" of that view's
+    transpose and the C-contiguous array it is copied into, dhh and
+    rowsum).
 
     Only the arrays whose shape holds S are rebuilt when S changes
     (bind_keys()): the cross-attention logits, and backward's dz, dkv and
@@ -253,7 +257,8 @@ class _Binding:
             rows = bsz * n
             dh, rowsum = np.empty((rows, dp)), np.empty((bsz, n))
             dh3 = dh.reshape(bsz, n, dp)
-            shared = {"dh": dh, "dh3": dh3, "dhT": dh3.transpose(0, 2, 1),
+            dhT = (dh3.transpose(0, 2, 1), np.empty((bsz, dp, n)))
+            shared = {"dh": dh, "dh3": dh3, "dhT": dhT,
                       "dhh": np.empty((bsz, n, dp)), "rowsum": rowsum,
                       "rowsum_b": rowsum[:, None, :]}
             dqkv, dq = np.empty((rows, 3 * dp)), np.empty((rows, dp))
@@ -303,8 +308,12 @@ def _attend(a, key_bias):
     the max and the sum reduce across its S rows and broadcast along its
     contiguous query axis, and a["s_q"] each query's sum. The output h =
     (e^T v) / s_q, written to a["h3"] (so also its rows a["h"]), is divided
-    instead of the (B, S, N) weights."""
-    e = np.matmul(a["k"], a["qT"], out=a["e"])
+    instead of the (B, S, N) weights. The logits' matmul reads a
+    C-contiguous copy of q^T: OpenBLAS multiplies by the transposed view
+    more slowly, for the same bytes."""
+    q_view, qT = a["qT"]
+    qT[...] = q_view
+    e = np.matmul(a["k"], qT, out=a["e"])
     if key_bias is not None:
         e += key_bias[:, :, None]
     # the reductions as ufunc methods, which skip np.max's and np.sum's
@@ -332,8 +341,14 @@ def _attn_backward(a, g, dout, ko, p, want, grads):
     dh /= a["s_q3"]
     np.matmul(a["e"], dh, out=g["dv"])
     # dz = A * (dA - colsum(A * dA)) with dA = V (s_q dh)^T, computed in
-    # place; colsum(A * dA) = s_q rowsum(dh * h), since h = A^T V
-    dz = np.matmul(a["v"], g["dhT"], out=g["dz"])
+    # place; colsum(A * dA) = s_q rowsum(dh * h), since h = A^T V. dh^T is
+    # read as a C-contiguous copy, as in _attend(), but for a single key,
+    # where numpy runs a matrix-vector product, whose bytes the copy changes
+    dhT, dhT_copy = g["dhT"]
+    if a["v"].shape[1] > 1:
+        dhT_copy[...] = dhT
+        dhT = dhT_copy
+    dz = np.matmul(a["v"], dhT, out=g["dz"])
     np.add.reduce(np.multiply(dh, a["h3"], out=g["dhh"]), axis=2, out=g["rowsum"])
     dz -= g["rowsum_b"]
     dz *= a["e"]
@@ -349,7 +364,8 @@ def _stacked_grads(dy, x, keys, want, grads, scale):
     W, so its gradient is multiplied by `scale`."""
     if want.isdisjoint(keys):
         return
-    for key, g in zip(keys, np.split(dy.T @ x, len(keys))):
+    gw = dy.T @ x
+    for key, g in zip(keys, gw.reshape(len(keys), -1, gw.shape[1])):
         if key in want:
             if key.name == "wq":
                 g *= scale
@@ -371,22 +387,35 @@ class Context(NamedTuple):
     longest, c (B, S, d_text); each caption's length; key_bias (B, S), 0 for
     a real key and -inf for padding; each block's cross-attention keys and
     values, kv[l - 1] = (k, v), each (B, S, d_attn) and a column block of
-    one (B*S, 2*d_attn) array; and each block's attention weights as
-    forward() and backward() read them, w[l - 1] = (s*wq cross, [wk; wv]
-    cross, [s*wq; wk; wv] self), with s = 1/sqrt(d_attn) folded into the
-    query weights and the rest stacked by rows, one projection matmul each."""
+    one (B*S, 2*d_attn) array; each block's attention weights as backward()
+    reads them, w[l - 1] = (s*wq cross, [wk; wv] cross, [s*wq; wk; wv]
+    self), with s = 1/sqrt(d_attn) folded into the query weights and the
+    rest stacked by rows, one projection matmul each; and the transposes of
+    the weights forward() multiplies by, wt[l - 1] = ((s*wq cross)^T, wo
+    cross^T, [s*wq; wk; wv]^T self, wo self^T, mlp_w1^T, mlp_w2^T) and
+    w_timeT, each a C-contiguous copy, so that no product of the pass has a
+    transposed view as its right-hand operand (OpenBLAS runs those up to
+    twice as slow, for the same bytes at two or more rows). Every array is
+    read-only."""
     c: np.ndarray
     lengths: list
     key_bias: np.ndarray
     kv: tuple
     w: tuple
+    wt: tuple
+    w_timeT: np.ndarray
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 def context(model, captions):
     """The Context of a list of B >= 1 caption-feature arrays (s_b, d_text),
     s_b >= 1, projected with the model's current cross-attention K/V
-    weights, which it holds stacked with the other attention weights. It is
-    valid only for those weights: build a new one after any update."""
+    weights, which it holds with the other weights the passes multiply by.
+    It is valid only for those weights: build a new one after any update."""
     cfg = model.config
     p = model.params
     c = [np.asarray(cb, dtype=np.float64) for cb in captions]
@@ -401,13 +430,16 @@ def context(model, captions):
     key_bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, -np.inf)
     rows = cpad.reshape(bsz * s, -1)
     scale = cfg.d_attn ** -0.5
-    w, kv = [], []
+    w, wt, kv = [], [], []
     for l in range(1, cfg.blocks + 1):
-        (cq, ck, cv, _), (sq, sk, sv, _), _ = _block_keys(l)
-        ckv = np.concatenate([p[ck], p[cv]])
-        w.append((scale * p[cq], ckv, np.concatenate([scale * p[sq], p[sk], p[sv]])))
-        kv.append(tuple(_blocks(rows @ ckv.T, 2, (bsz, s, -1))))
-    return Context(cpad, lengths, key_bias, tuple(kv), tuple(w))
+        (cq, ck, cv, co), (sq, sk, sv, so), (k1, k2) = _block_keys(l)
+        wcq, wckv = scale * p[cq], np.concatenate([p[ck], p[cv]])
+        wqkv = np.concatenate([scale * p[sq], p[sk], p[sv]])
+        w.append(tuple(map(_frozen, (wcq, wckv, wqkv))))
+        wt.append(tuple(_frozen(a.T.copy()) for a in (wcq, p[co], wqkv, p[so], p[k1], p[k2])))
+        kv.append(tuple(_blocks(_frozen(rows @ wckv.T.copy()), 2, (bsz, s, -1))))
+    return Context(_frozen(cpad), lengths, _frozen(key_bias), tuple(kv), tuple(w), tuple(wt),
+                   _frozen(p[_W_TIME].T.copy()))
 
 
 def forward(model, x_t, t, ctx, workspace=None):
@@ -417,11 +449,12 @@ def forward(model, x_t, t, ctx, workspace=None):
     InvalidInput is raised when it holds another number of captions than
     x_t images. Padded keys get zero attention weight. The features of all
     B images run as one (B*h*w, d_model) array of rows. Each attention
-    sublayer runs one projection matmul in, with the weights the context
-    holds (cross-attention's queries, self-attention's q, k and v as the
-    column blocks of one (B*h*w, 3*d_attn) array), then _attend(), which
-    keeps its unnormalized weights key-major, e (B, S, N), and each query's
-    sum s_q, and one matmul back through the output projection.
+    sublayer runs one projection matmul in (cross-attention's queries,
+    self-attention's q, k and v as the column blocks of one
+    (B*h*w, 3*d_attn) array), then _attend(), which keeps its unnormalized
+    weights key-major, e (B, S, N), and each query's sum s_q, and one matmul
+    back through the output projection. Every weight is read from the
+    context's C-contiguous transposes, ctx.wt and ctx.w_timeT.
 
     `workspace` is a dict the caller keeps across calls (a fresh one when
     None). It holds one binding per batch size (_Binding): every array the
@@ -447,34 +480,32 @@ def forward(model, x_t, t, ctx, workspace=None):
 
     x = x_t.reshape(-1)
     s_t = sinusoidal_embedding(t, d)
-    te = s_t @ p[_W_TIME].T
+    te = s_t @ ctx.w_timeT
     # the outer product of the pixels and w_pix as a matmul over a length-1
     # axis, which (unlike np.outer) needs no temporary buffers
     np.matmul(x[:, None], p[_W_PIX], out=b.f0)
     b.f0_3 += positional_grid(cfg)
     b.f0_3 += te[:, None, :]
 
-    for l, bc in enumerate(b.blocks, start=1):
-        cross, self_attn, (k1, k2) = _block_keys(l)
-        wcq, _, wqkv = ctx.w[l - 1]
+    for bc, kv, (wcq, wco, wqkv, wso, w1, w2) in zip(b.blocks, ctx.kv, ctx.wt):
         f, ca = bc["f"], bc["ca"]
         # cross-attention first, so its output is decoded by the rest of the
         # block (and any later blocks) rather than feeding the output
         # projection directly
-        np.matmul(f, wcq.T, out=bc["cq"])
-        ca["k"], ca["v"] = ctx.kv[l - 1]
+        np.matmul(f, wcq, out=bc["cq"])
+        ca["k"], ca["v"] = kv
         _attend(ca, ctx.key_bias)
-        f1 = np.matmul(ca["h"], p[cross[3]].T, out=bc["f1"])
+        f1 = np.matmul(ca["h"], wco, out=bc["f1"])
         f1 += f
         # self-attention
-        np.matmul(f1, wqkv.T, out=bc["qkv"])
+        np.matmul(f1, wqkv, out=bc["qkv"])
         _attend(bc["sa"], None)
-        f2 = np.matmul(bc["sa"]["h"], p[self_attn[3]].T, out=bc["f2"])
+        f2 = np.matmul(bc["sa"]["h"], wso, out=bc["f2"])
         f2 += f1
         # residual MLP (tanh; smooth for finite-difference checks)
-        r = np.matmul(f2, p[k1].T, out=bc["r"])
+        r = np.matmul(f2, w1, out=bc["r"])
         np.tanh(r, out=r)
-        out = np.matmul(r, p[k2].T, out=bc["out"])
+        out = np.matmul(r, w2, out=bc["out"])
         out += f2
     # readout scaled by 1/d_model so the trained head keeps a healthy norm
     eps = (b.out @ p[_W_OUT][0]) / d

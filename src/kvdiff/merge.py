@@ -197,8 +197,8 @@ def merge_model(base, deltas, captions_per_concept, reg_captions):
                                             for w in concepts],
                            target_features=c_rows, owners=owners, reg_features=creg)
     sol = solve_closed_form(problem)
-    ends = np.cumsum([base.params[k].shape[0] for k in keys])
-    for key, w_hat in zip(keys, np.split(sol.w_hat, ends[:-1])):
-        merged.params[key] = w_hat
+    ends = np.cumsum([0] + [base.params[k].shape[0] for k in keys]).tolist()
+    for key, lo, hi in zip(keys, ends, ends[1:]):
+        merged.params[key] = sol.w_hat[lo:hi]
     return MergeOutcome(model=merged,
                         solutions={tuple((k.layer, k.role) for k in keys): sol})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kvdiff import denoiser, textmod
+from kvdiff import denoiser, fixtures, textmod
 from kvdiff.denoiser import ParamKey, ROLE_OTHER, ROLE_SELF
 from kvdiff.errors import InvalidInput
 
@@ -207,6 +207,64 @@ def test_padded_guided_batch_matches_unpadded_batches_bit_for_bit(tiny_model):
                 alone, _ = denoiser.forward(tiny_model, pair, [t, t],
                                             denoiser.context(tiny_model, [c, c]))
                 assert eps[row].tobytes() == alone[row].tobytes(), (caption, t, row)
+
+
+def test_guided_batch_of_many_pairs_matches_each_pair_bit_for_bit():
+    """A guided forward over k (cond, uncond) pairs, 4 to 64 rows, gives each
+    pair's rows the bytes of that pair run as a batch of 2: the gate for
+    sampling every seed of a prompt as one batch. Each pair has its own
+    image and timestep. Run on the default architecture, whose product
+    sizes select the BLAS kernels that sampling runs; its zeroed output head
+    is replaced so eps is not all zeros."""
+    vocab = fixtures.fixture_vocab()
+    model = denoiser.build_model(seed=2, vocab=vocab)
+    cfg = model.config
+    rng = np.random.default_rng(12)
+    model.params[ParamKey(0, ROLE_OTHER, "w_out")] = rng.standard_normal((1, cfg.d_model))
+    pair = [textmod.encode_caption(vocab, textmod.tokenize(vocab, caption))
+            for caption in ("photo of a blob", "")]
+    for k in (2, 4, 8, 16, 32):
+        x = rng.standard_normal((k, cfg.height, cfg.width))
+        ts = rng.integers(1, 200, k).tolist()
+        eps, _ = denoiser.forward(model, np.repeat(x, 2, axis=0), np.repeat(ts, 2),
+                                  denoiser.context(model, pair * k))
+        for i in range(k):
+            alone, _ = denoiser.forward(model, np.stack([x[i], x[i]]), [ts[i]] * 2,
+                                        denoiser.context(model, pair))
+            assert eps[2 * i:2 * i + 2].tobytes() == alone.tobytes(), (k, i)
+
+
+def test_context_holds_each_forward_weight_transposed_and_read_only(tiny_model):
+    """forward() multiplies by C-contiguous copies of its weights'
+    transposes, the query weights scaled by 1/sqrt(d_attn), which equal the
+    registry's bit for bit; these and every other context array are
+    read-only, since a write would leave them out of step with the
+    registry."""
+    cfg, p = tiny_model.config, tiny_model.params
+    rng = np.random.default_rng(13)
+    ctx = denoiser.context(tiny_model, [rng.standard_normal((m, cfg.d_text)) for m in (3, 5)])
+    s = cfg.d_attn ** -0.5
+    assert len(ctx.wt) == cfg.blocks
+    for l, wt in enumerate(ctx.wt, start=1):
+        self_w = [p[ParamKey(l, ROLE_SELF, name)] for name in ("wq", "wk", "wv", "wo")]
+        want = (s * p[ParamKey(l, denoiser.ROLE_CROSS_QUERY, "wq")],
+                p[ParamKey(l, denoiser.ROLE_CROSS_OUT, "wo")],
+                np.concatenate([s * self_w[0], self_w[1], self_w[2]]), self_w[3],
+                p[ParamKey(l, ROLE_OTHER, "mlp_w1")], p[ParamKey(l, ROLE_OTHER, "mlp_w2")])
+        assert len(wt) == len(want)
+        for got, weight in zip(wt, want):
+            assert got.flags.c_contiguous and got.shape == weight.T.shape
+            assert got.tobytes() == np.ascontiguousarray(weight.T).tobytes(), l
+    w_time = p[ParamKey(0, ROLE_OTHER, "w_time")]
+    assert ctx.w_timeT.flags.c_contiguous
+    assert ctx.w_timeT.tobytes() == np.ascontiguousarray(w_time.T).tobytes()
+    arrays = [ctx.c, ctx.key_bias, ctx.w_timeT] + [a for group in ctx.kv + ctx.w + ctx.wt
+                                                   for a in group]
+    assert len(arrays) == 3 + 11 * cfg.blocks
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+    assert not any(np.shares_memory(a, w) for a in arrays for w in p.values())
 
 
 def test_backward_matches_finite_differences(tiny_model):
