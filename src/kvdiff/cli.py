@@ -121,7 +121,7 @@ def cmd_finetune(args, cfg):
         written.append(args.out_delta)
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump({"loss_curve": [float(v) for v in report.loss_curve]}, fh)
+            fh.write(json.dumps({"loss_curve": [float(v) for v in report.loss_curve]}))
         written.append(args.report)
     return written
 
@@ -152,11 +152,12 @@ def cmd_sample(args, cfg):
     img = diffusion.sample_prompt(model, args.prompt, 1, args.seed, sched, steps,
                                   cfg["sampler"]["scale"])[0]
     write_pgm(args.out, img)
+    # json.dumps, as data.save_dataset writes: the C encoder
     with open(f"{args.out}.json", "w") as fh:
-        json.dump({"prompt": args.prompt, "steps": steps,
-                   "scale": cfg["sampler"]["scale"], "seed": args.seed,
-                   "pixels": [float(v) for v in img.reshape(-1)],
-                   "height": img.shape[0], "width": img.shape[1]}, fh)
+        fh.write(json.dumps({"prompt": args.prompt, "steps": steps,
+                             "scale": cfg["sampler"]["scale"], "seed": args.seed,
+                             "pixels": [float(v) for v in img.reshape(-1)],
+                             "height": img.shape[0], "width": img.shape[1]}))
     return [args.out, f"{args.out}.json"]
 
 

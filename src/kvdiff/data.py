@@ -41,10 +41,17 @@ def load_dataset(path):
 
 
 def save_dataset(examples, path):
-    rows = [{"caption": ex.caption, "width": ex.image.shape[1], "height": ex.image.shape[0],
-             "pixels": [float(v) for v in ex.image.reshape(-1)]} for ex in examples]
+    """The bytes json.dump gives the list of rows, written one row at a
+    time through json.dumps, which runs the C encoder (json.dump runs the
+    pure-Python one) and holds one row's text, not the whole file's."""
     with open(path, "w") as fh:
-        json.dump(rows, fh)
+        fh.write("[")
+        for i, ex in enumerate(examples):
+            pixels = np.asarray(ex.image, dtype=np.float64).reshape(-1).tolist()
+            row = {"caption": ex.caption, "width": ex.image.shape[1],
+                   "height": ex.image.shape[0], "pixels": pixels}
+            fh.write((", " if i else "") + json.dumps(row))
+        fh.write("]")
 
 
 def retrieve_regularization(pool, target_caption, threshold, cap, text_featurizer):

@@ -178,18 +178,31 @@ def _key_major(b, s, n):
     return a, a.transpose(0, 2, 1)
 
 
-def _attention(q, s):
+# a padded key's logit: exp(_PAD - max) underflows to exactly 0. It is
+# finite, since -inf times the zeros OpenBLAS pads a partial block of
+# queries with makes the logits' product raise numpy's invalid-value warning
+_PAD = -np.finfo(np.float64).max
+
+
+def _attention(q, s, biased=False):
     """The arrays of one attention sublayer over s keys, as _attend() writes
     and _attn_backward() reads them, with their fixed views: the queries q
     (B, N, dp), a view into the array their projection is written into, and
-    "qT", the pair of its transposed view and the C-contiguous array
-    _attend() copies that view into; the logits e (B, S, N), key-major, and
-    eT; the logits' max; each query's sum s_q (B, N) and s_q3, its (B, N, 1)
-    view; the output h3 (B, N, dp) and h, its (B*N, dp) rows. Its keys and
-    values "k" and "v" (B, S, dp) are set by the caller."""
+    "qT", the triple of its transposed view, the C-contiguous array qT
+    (B, 1 + dp, N) when `biased` and (B, dp, N) otherwise, and the part of
+    qT that _attend() copies that view into: all of it, or every row below
+    a leading row of ones that multiplies the keys' bias column; the logits
+    e (B, S, N), key-major, and eT; the logits' max; each query's sum s_q
+    (B, N) and s_q3, its (B, N, 1) view; the output h3 (B, N, dp) and h, its
+    (B*N, dp) rows. The caller sets its keys "k" and values "v"
+    (B, S, dp), and "kb", the left operand of the logits' product: the keys,
+    or with `biased` the keys behind their bias column (B, S, 1 + dp)."""
     b, n, dp = q.shape
     h3, s_q = np.empty((b, n, dp)), np.empty((b, n))
-    a = {"q": q, "qT": (q.transpose(0, 2, 1), np.empty((b, dp, n))),
+    ones = 1 if biased else 0
+    qT = np.empty((b, ones + dp, n))
+    qT[:, :ones] = 1.0
+    a = {"q": q, "qT": (q.transpose(0, 2, 1), qT, qT[:, ones:]),
          "max": np.empty((b, 1, n)), "s_q": s_q, "s_q3": s_q[:, :, None], "h3": h3,
          "h": h3.reshape(b * n, dp)}
     a["e"], a["eT"] = _key_major(b, s, n)
@@ -231,8 +244,9 @@ class _Binding:
             cq, qkv = np.empty((rows, dp)), np.empty((rows, 3 * dp))
             q, k, v = _blocks(qkv, 3, (bsz, n, dp))
             sa = _attention(q, n)
-            sa["k"], sa["v"] = k, v
-            bc = {"f": f, "cq": cq, "ca": _attention(cq.reshape(bsz, n, dp), s),
+            sa["k"] = sa["kb"] = k
+            sa["v"] = v
+            bc = {"f": f, "cq": cq, "ca": _attention(cq.reshape(bsz, n, dp), s, biased=True),
                   "f1": np.empty((rows, d)), "qkv": qkv, "sa": sa,
                   "f2": np.empty((rows, d)), "r": np.empty((rows, cfg.hidden)),
                   "out": np.empty((rows, d))}
@@ -295,13 +309,16 @@ def _binding(ws, cfg, bsz, s):
     return b
 
 
-def _attend(a, key_bias):
+def _attend(a):
     """Single-head softmax attention of the sublayer arrays `a`
     (_attention()): its queries a["q"] (B, N, dp) over its keys a["k"] and
     values a["v"] (B, S, dp), the one kernel of both attention sublayers.
     The queries come from a query weight that already holds the 1/sqrt(dp)
-    scale. key_bias (B, S) is added to every query's logits: 0 for a real
-    key and -inf for padding, which gets exactly zero weight (None: no bias).
+    scale. The logits are one product, a["kb"] @ qT. Cross-attention's kb
+    leads each key with its padding bias, 0 for a real key and _PAD for
+    padding, and its qT with a row of ones, so the bias is the product's
+    first term: a real key's logits are the bytes of k @ q^T (0 + x == x),
+    and a padded key's are _PAD, which gets exactly zero weight.
 
     The softmax is left unnormalized: a["e"] holds e = exp(logits - max),
     key-major, a (B, S, N) with e[b, j, i] the term of key j for query i, so
@@ -311,11 +328,9 @@ def _attend(a, key_bias):
     instead of the (B, S, N) weights. The logits' matmul reads a
     C-contiguous copy of q^T: OpenBLAS multiplies by the transposed view
     more slowly, for the same bytes."""
-    q_view, qT = a["qT"]
-    qT[...] = q_view
-    e = np.matmul(a["k"], qT, out=a["e"])
-    if key_bias is not None:
-        e += key_bias[:, :, None]
+    q_view, qT, q_rows = a["qT"]
+    q_rows[...] = q_view
+    e = np.matmul(a["kb"], qT, out=a["e"])
     # the reductions as ufunc methods, which skip np.max's and np.sum's
     # Python-level dispatch
     e -= np.maximum.reduce(e, axis=1, keepdims=True, out=a["max"])
@@ -382,28 +397,47 @@ def _block_keys(l):
     return cross, self_attn, (ParamKey(l, ROLE_OTHER, "mlp_w1"), ParamKey(l, ROLE_OTHER, "mlp_w2"))
 
 
+class Weights(NamedTuple):
+    """A model's weights as a Context holds them, all but the
+    cross-attention K/V: each block's cross-attention query weight s*wq and
+    stacked self-attention weights [s*wq; wk; wv], with s = 1/sqrt(d_attn)
+    folded into the query weights, one projection matmul each; and the
+    transposes of the weights forward() multiplies by, wt[l - 1] =
+    ((s*wq cross)^T, wo cross^T, [s*wq; wk; wv]^T self, wo self^T,
+    mlp_w1^T, mlp_w2^T) and w_timeT, each a C-contiguous copy, so that no
+    product of the pass has a transposed view as its right-hand operand
+    (OpenBLAS runs those up to twice as slow, for the same bytes at two or
+    more rows). Every array is read-only."""
+    wcq: tuple
+    wqkv: tuple
+    wt: tuple
+    w_timeT: np.ndarray
+
+
 class Context(NamedTuple):
     """B captions as forward() reads them: their features padded to the
-    longest, c (B, S, d_text); each caption's length; key_bias (B, S), 0 for
-    a real key and -inf for padding; each block's cross-attention keys and
-    values, kv[l - 1] = (k, v), each (B, S, d_attn) and a column block of
-    one (B*S, 2*d_attn) array; each block's attention weights as backward()
-    reads them, w[l - 1] = (s*wq cross, [wk; wv] cross, [s*wq; wk; wv]
-    self), with s = 1/sqrt(d_attn) folded into the query weights and the
-    rest stacked by rows, one projection matmul each; and the transposes of
-    the weights forward() multiplies by, wt[l - 1] = ((s*wq cross)^T, wo
-    cross^T, [s*wq; wk; wv]^T self, wo self^T, mlp_w1^T, mlp_w2^T) and
-    w_timeT, each a C-contiguous copy, so that no product of the pass has a
-    transposed view as its right-hand operand (OpenBLAS runs those up to
-    twice as slow, for the same bytes at two or more rows). Every array is
-    read-only."""
+    longest, c (B, S, d_text); each caption's length; each block's
+    cross-attention keys and values, kv[l - 1] = (kb, k, v): the keys k and
+    values v (B, S, d_attn), and kb (B, S, 1 + d_attn), the keys behind
+    their padding bias column (0 for a real key, _PAD for padding), all
+    column blocks of one (B*S, 1 + 2*d_attn) array; each block's attention
+    weights as backward() reads them, w[l - 1] = (s*wq cross, [wk; wv]
+    cross, [s*wq; wk; wv] self); and the Weights' transposes wt and
+    w_timeT. Every array is read-only."""
     c: np.ndarray
     lengths: list
-    key_bias: np.ndarray
     kv: tuple
     w: tuple
     wt: tuple
     w_timeT: np.ndarray
+
+
+class TimeRows(NamedTuple):
+    """The time embedding of B timesteps as forward() reads it: their
+    sinusoids s_t (B, d_model), which backward() reads, and te = s_t @
+    w_time^T, the row added to every pixel's features of each image."""
+    s_t: np.ndarray
+    te: np.ndarray
 
 
 def _frozen(a):
@@ -411,44 +445,84 @@ def _frozen(a):
     return a
 
 
-def context(model, captions):
+def weights(model):
+    """The Weights of the model's current weights. They stay valid while
+    only its cross-attention K/V weights change."""
+    p = model.params
+    scale = model.config.d_attn ** -0.5
+    wcq, wqkv, wt = [], [], []
+    for l in range(1, model.config.blocks + 1):
+        (cq, _, _, co), (sq, sk, sv, so), (k1, k2) = _block_keys(l)
+        wcq.append(_frozen(scale * p[cq]))
+        wqkv.append(_frozen(np.concatenate([scale * p[sq], p[sk], p[sv]])))
+        wt.append(tuple(_frozen(a.T.copy())
+                        for a in (wcq[-1], p[co], wqkv[-1], p[so], p[k1], p[k2])))
+    return Weights(tuple(wcq), tuple(wqkv), tuple(wt), _frozen(p[_W_TIME].T.copy()))
+
+
+def context(model, captions, fixed=None):
     """The Context of a list of B >= 1 caption-feature arrays (s_b, d_text),
     s_b >= 1, projected with the model's current cross-attention K/V
-    weights, which it holds with the other weights the passes multiply by.
-    It is valid only for those weights: build a new one after any update."""
+    weights, which it holds with the other weights the passes multiply by:
+    those of `fixed`, the model's Weights (built anew when None), which
+    must be current. It is valid only for those weights: build a new one
+    after any update."""
     cfg = model.config
     p = model.params
     c = [np.asarray(cb, dtype=np.float64) for cb in captions]
     if not c or any(cb.ndim != 2 or cb.shape[0] < 1 or cb.shape[1] != cfg.d_text for cb in c):
         raise InvalidInput(f"expected at least one caption, each of caption features "
                            f"(s, {cfg.d_text}) with s >= 1")
+    fixed = weights(model) if fixed is None else fixed
     lengths = [cb.shape[0] for cb in c]
-    bsz, s = len(c), max(lengths)
+    bsz, s, dp = len(c), max(lengths), cfg.d_attn
     cpad = np.zeros((bsz, s, cfg.d_text))
     for i, cb in enumerate(c):
         cpad[i, :lengths[i]] = cb
-    key_bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, -np.inf)
     rows = cpad.reshape(bsz * s, -1)
-    scale = cfg.d_attn ** -0.5
-    w, wt, kv = [], [], []
-    for l in range(1, cfg.blocks + 1):
-        (cq, ck, cv, co), (sq, sk, sv, so), (k1, k2) = _block_keys(l)
-        wcq, wckv = scale * p[cq], np.concatenate([p[ck], p[cv]])
-        wqkv = np.concatenate([scale * p[sq], p[sk], p[sv]])
-        w.append(tuple(map(_frozen, (wcq, wckv, wqkv))))
-        wt.append(tuple(_frozen(a.T.copy()) for a in (wcq, p[co], wqkv, p[so], p[k1], p[k2])))
-        kv.append(tuple(_blocks(_frozen(rows @ wckv.T.copy()), 2, (bsz, s, -1))))
-    return Context(_frozen(cpad), lengths, _frozen(key_bias), tuple(kv), tuple(w), tuple(wt),
-                   _frozen(p[_W_TIME].T.copy()))
+    bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, _PAD).reshape(-1)
+    w, kv = [], []
+    for l, wcq, wqkv in zip(range(1, cfg.blocks + 1), fixed.wcq, fixed.wqkv):
+        _, ck, cv, _ = _block_keys(l)[0]
+        wckv = _frozen(np.concatenate([p[ck], p[cv]]))
+        w.append((wcq, wckv, wqkv))
+        bkv = np.empty((bsz * s, 1 + 2 * dp))
+        bkv[:, 0] = bias
+        bkv[:, 1:] = rows @ wckv.T.copy()
+        _frozen(bkv)
+        kv.append((bkv[:, :1 + dp].reshape(bsz, s, -1),
+                   *_blocks(bkv[:, 1:], 2, (bsz, s, dp))))
+    return Context(_frozen(cpad), lengths, tuple(kv), tuple(w), fixed.wt, fixed.w_timeT)
+
+
+def time_rows(ctx, t):
+    """The TimeRows of the timesteps t, B of them (B,) or a stack of such
+    sets (L, B), under ctx's w_time. A stack runs one sinusoid and one
+    stacked product, in which each set is a (B, d) @ (d, d) product of its
+    own: the kernel, and so the bytes, of a call on that set alone (numpy
+    runs a 1-row product as a matrix-vector one, which rounds differently)."""
+    t = np.asarray(t)
+    d = ctx.w_timeT.shape[0]
+    s_t = sinusoidal_embedding(t.reshape(-1), d).reshape(t.shape + (d,))
+    return TimeRows(s_t, np.matmul(s_t, ctx.w_timeT))
+
+
+def ladder(ctx, ts):
+    """The TimeRows of each timestep of the ladder ts for ctx's B captions,
+    each timestep repeated per caption: one time_rows() over the stack of
+    them, split into read-only views by step."""
+    t = np.repeat(ts, len(ctx.lengths)).reshape(len(ts), -1)
+    return [TimeRows(*rows) for rows in zip(*map(_frozen, time_rows(ctx, t)))]
 
 
 def forward(model, x_t, t, ctx, workspace=None):
-    """Forward pass over a batch: x_t (B, H, W), t holds B timesteps and ctx
-    is the Context of B captions, built by context() from the model's
-    current weights; a context built before a weight update is stale, and
-    InvalidInput is raised when it holds another number of captions than
-    x_t images. Padded keys get zero attention weight. The features of all
-    B images run as one (B*h*w, d_model) array of rows. Each attention
+    """Forward pass over a batch: x_t (B, H, W), t holds B timesteps (or is
+    their TimeRows under ctx, a step of ladder()) and ctx is the Context of
+    B captions, built by context() from the model's current weights; a
+    context built before a weight update is stale, and InvalidInput is
+    raised when it or t holds another count than x_t images. Padded keys
+    get zero attention weight. The features of all B images run as one
+    (B*h*w, d_model) array of rows. Each attention
     sublayer runs one projection matmul in (cross-attention's queries,
     self-attention's q, k and v as the column blocks of one
     (B*h*w, 3*d_attn) array), then _attend(), which keeps its unnormalized
@@ -472,20 +546,22 @@ def forward(model, x_t, t, ctx, workspace=None):
         raise InvalidInput(f"expected images of shape (B, {cfg.height}, {cfg.width}) "
                            f"with B >= 1, got {x_t.shape}")
     bsz, d = x_t.shape[0], cfg.d_model
-    t = np.asarray(t)
-    if t.shape != (bsz,) or len(ctx.lengths) != bsz:
-        raise InvalidInput(f"expected {bsz} timesteps and a context of {bsz} captions, "
-                           f"got {t.shape} and {len(ctx.lengths)}")
+    if not isinstance(t, TimeRows):
+        t = np.asarray(t)
+        if t.shape != (bsz,):
+            raise InvalidInput(f"expected {bsz} timesteps, got {t.shape}")
+        t = time_rows(ctx, t)
+    if len(t.te) != bsz or len(ctx.lengths) != bsz:
+        raise InvalidInput(f"expected the time rows and a context of {bsz} captions, "
+                           f"got {len(t.te)} and {len(ctx.lengths)}")
     b = _binding({} if workspace is None else workspace, cfg, bsz, ctx.c.shape[1])
 
     x = x_t.reshape(-1)
-    s_t = sinusoidal_embedding(t, d)
-    te = s_t @ ctx.w_timeT
     # the outer product of the pixels and w_pix as a matmul over a length-1
     # axis, which (unlike np.outer) needs no temporary buffers
     np.matmul(x[:, None], p[_W_PIX], out=b.f0)
     b.f0_3 += positional_grid(cfg)
-    b.f0_3 += te[:, None, :]
+    b.f0_3 += t.te[:, None, :]
 
     for bc, kv, (wcq, wco, wqkv, wso, w1, w2) in zip(b.blocks, ctx.kv, ctx.wt):
         f, ca = bc["f"], bc["ca"]
@@ -493,13 +569,13 @@ def forward(model, x_t, t, ctx, workspace=None):
         # block (and any later blocks) rather than feeding the output
         # projection directly
         np.matmul(f, wcq, out=bc["cq"])
-        ca["k"], ca["v"] = kv
-        _attend(ca, ctx.key_bias)
+        ca["kb"], ca["k"], ca["v"] = kv
+        _attend(ca)
         f1 = np.matmul(ca["h"], wco, out=bc["f1"])
         f1 += f
         # self-attention
         np.matmul(f1, wqkv, out=bc["qkv"])
-        _attend(bc["sa"], None)
+        _attend(bc["sa"])
         f2 = np.matmul(bc["sa"]["h"], wso, out=bc["f2"])
         f2 += f1
         # residual MLP (tanh; smooth for finite-difference checks)
@@ -509,7 +585,7 @@ def forward(model, x_t, t, ctx, workspace=None):
         out += f2
     # readout scaled by 1/d_model so the trained head keeps a healthy norm
     eps = (b.out @ p[_W_OUT][0]) / d
-    return eps.reshape(x_t.shape), {"x": x, "s_t": s_t, "ctx": ctx, "binding": b,
+    return eps.reshape(x_t.shape), {"x": x, "s_t": t.s_t, "ctx": ctx, "binding": b,
                                     "blocks": b.blocks}
 
 

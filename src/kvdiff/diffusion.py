@@ -101,12 +101,15 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     alone and uncond is never run. The predicted x0 is clipped to the image
     range [-1, 1]. The steps share one caption context, one batch buffer and
     one denoiser workspace, whose binding for the batch is built by the
-    first step. Every step's coefficients are computed, and the ancestral
-    noise of every step drawn from the sample's generator, before the
-    first; each step then combines the branches, estimates x0, clips it
-    and takes the posterior update in place, in the state x and in the
-    step's own arrays (its forward output and its noise). Deterministic for
-    a fixed seed.
+    first step. Before the first step, every step's time embedding is
+    computed (denoiser.ladder(): one sinusoid and one w_time product over
+    the ladder), so are its coefficients, and its ancestral noise is drawn
+    from the sample's generator; each step then combines the branches,
+    estimates x0, clips it and takes the posterior update in place, in the
+    state x and in the step's own arrays (its forward output and its
+    noise). A non-finite guided prediction raises NumericalFailure naming
+    its step; a finite one keeps x finite, since x0 is clipped.
+    Deterministic for a fixed seed.
     """
     check_section("sampler", {"scale": scale})
     if seed < 0:
@@ -133,33 +136,35 @@ def sample_cfg(model, cond, steps, scale, seed, sched, uncond=None):
     ctx = denoiser.context(model, captions)
     batch = np.empty((len(captions),) + x.shape)
     workspace = {}
-    for t, (sd_t, sa_t, coef_x0, coef_xt, var) in zip(ts.tolist(), coefs):
-        batch[:] = x
-        eps, _ = denoiser.forward(model, batch, (t,) * len(captions), ctx, workspace)
-        # eps_hat = eps_u + scale * (eps_c - eps_u), written over eps_c
-        g = eps[0]
-        if scale != 1.0:
-            g -= eps[1]
-            g *= scale
-            g += eps[1]
-        if not np.isfinite(g).all():
-            raise NumericalFailure(f"non-finite noise prediction at t={t}")
-        # x0_hat = clip((x - sd_t * eps_hat) / sa_t, -1, 1)
-        g *= sd_t
-        np.subtract(x, g, out=g)
-        g /= sa_t
-        np.maximum(g, -1.0, out=g)
-        np.minimum(g, 1.0, out=g)
-        # x = coef_x0 * x0_hat + coef_xt * x, plus sqrt(var) * noise
-        g *= coef_x0
-        x *= coef_xt
-        x += g
-        if var > 0:
-            z = next(noise)
-            z *= math.sqrt(var)
-            x += z
-        if not np.isfinite(x).all():
-            raise NumericalFailure(f"non-finite sample state at t={t}")
+    # the loop checks each prediction itself and raises a typed error, so
+    # numpy's overflow and invalid-value warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, rows, (sd_t, sa_t, coef_x0, coef_xt, var) in zip(
+                ts.tolist(), denoiser.ladder(ctx, ts), coefs):
+            batch[:] = x
+            eps, _ = denoiser.forward(model, batch, rows, ctx, workspace)
+            # eps_hat = eps_u + scale * (eps_c - eps_u), written over eps_c
+            g = eps[0]
+            if scale != 1.0:
+                g -= eps[1]
+                g *= scale
+                g += eps[1]
+            if not np.isfinite(g).all():
+                raise NumericalFailure(f"non-finite noise prediction at t={t}")
+            # x0_hat = clip((x - sd_t * eps_hat) / sa_t, -1, 1)
+            g *= sd_t
+            np.subtract(x, g, out=g)
+            g /= sa_t
+            np.maximum(g, -1.0, out=g)
+            np.minimum(g, 1.0, out=g)
+            # x = coef_x0 * x0_hat + coef_xt * x, plus sqrt(var) * noise
+            g *= coef_x0
+            x *= coef_xt
+            x += g
+            if var > 0:
+                z = next(noise)
+                z *= math.sqrt(var)
+                x += z
     return x
 
 

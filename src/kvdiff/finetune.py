@@ -61,7 +61,7 @@ def sgd_step(arrays, grads, lr):
 
 
 def batch_gradients(model, examples, sched, rng, modifier_indices=(),
-                    cond_dropout=0.0, keys=None, workspace=None):
+                    cond_dropout=0.0, keys=None, workspace=None, fixed=None):
     """Average loss and gradients over a batch of (image, caption, mask) draws.
 
     examples: iterable of (AugmentedSample-or-ConceptExample), each image of
@@ -75,7 +75,9 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
     Returns (loss, grads, emb_grads): grads maps each registry key in `keys`
     (every key when None) to its gradient, and emb_grads maps modifier token
     index to the gradient of its embedding row. `workspace` is passed to
-    denoiser.forward; no returned array shares memory with it.
+    denoiser.forward; no returned array shares memory with it. `fixed` is
+    passed to denoiser.context: the model's current denoiser.Weights, or
+    None to build them.
     """
     vocab = model.vocab
     examples = list(examples)
@@ -101,7 +103,8 @@ def batch_gradients(model, examples, sched, rng, modifier_indices=(),
         seqs.append(textmod.tokenize(vocab, caption))
         cs.append(textmod.encode_caption(vocab, seqs[-1]))
     x_t = diffusion.forward_noise(x0, ts, eps, sched)
-    eps_pred, cache = denoiser.forward(model, x_t, ts, denoiser.context(model, cs), workspace)
+    eps_pred, cache = denoiser.forward(model, x_t, ts, denoiser.context(model, cs, fixed),
+                                      workspace)
     # added in example order: np.sum pairs the terms, which rounds differently
     total_loss = 0.0
     for loss in diffusion.masked_loss(eps, eps_pred, masks).tolist():
@@ -126,10 +129,13 @@ def _train(model, targets, reg, cfg, sched, modifier_indices):
     one sgd_step updates the arrays training changes: the scope's registry
     arrays and, under cfg.train_modifier, views of the modifier rows of the
     vocabulary's embeddings, keyed by token index as batch_gradients keys
-    their gradients."""
+    their gradients. Under kv_only no weight of a context but the
+    cross-attention K/V changes, so every step's context shares one
+    denoiser.Weights; under all_unet each step builds its own."""
     rng = np.random.default_rng(cfg.seed)
     workspace = {}
     trainable = trainable_set(model, cfg.trainable_scope)
+    fixed = denoiser.weights(model) if cfg.trainable_scope == SCOPE_KV_ONLY else None
     mods = modifier_indices if cfg.train_modifier else ()
     arrays = {**{k: model.params[k] for k in trainable},
               **{i: model.vocab.embeddings[i] for i in mods}}
@@ -148,7 +154,7 @@ def _train(model, targets, reg, cfg, sched, modifier_indices):
                 batch.append(ex)
         loss, grads, emb_grads = batch_gradients(
             model, batch, sched, rng, modifier_indices=mods,
-            cond_dropout=cfg.cond_dropout, keys=trainable, workspace=workspace)
+            cond_dropout=cfg.cond_dropout, keys=trainable, workspace=workspace, fixed=fixed)
         sgd_step(arrays, {**grads, **emb_grads}, cfg.learning_rate)
         loss_curve.append(loss)
         if initial_loss is None:

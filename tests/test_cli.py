@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,26 @@ def test_explicit_steps_beyond_the_checkpoint_chain_exit_2(tmp_path, cli_inputs,
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "cannot exceed" in err
     assert not os.path.exists(out)
+
+
+def test_sampling_a_model_whose_readout_overflows_exits_2(tmp_path, cli_inputs, capsys):
+    """A checkpoint of finite weights whose readout overflows (w_out near
+    the largest double) predicts non-finite noise at the first step, t = T:
+    `sample` reports the sampler's NumericalFailure on one error line, with
+    no traceback or numpy warning, and writes nothing."""
+    model = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
+    model.params[denoiser.ParamKey(0, denoiser.ROLE_OTHER, "w_out")][:] = 1e308
+    ckpt = str(tmp_path / "overflow.ckpt")
+    checkpoint.save_model(ckpt, model, diffusion.NoiseSchedule.linear(T=30))
+    out = tmp_path / "img.pgm"
+    with warnings.catch_warnings():
+        # a warning is printed to the terminal beside the error line
+        warnings.simplefilter("error")
+        assert run_command(["sample", "--model", ckpt, "--prompt", "photo of a blob",
+                            "--steps", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: non-finite noise prediction at t=30\n", err
+    assert not out.exists()
 
 
 def test_configured_steps_are_capped_at_the_checkpoint_chain(tmp_path, cli_inputs):

@@ -1,5 +1,8 @@
 """Noise-prediction network: attention oracle, backprop fidelity, registry."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,10 +42,13 @@ def _project(f, c, wq, wk, wv):
 
 def _attend(q, k, v, key_bias):
     """The kernel run on a sublayer's arrays built for q and k's keys; the
-    arrays, e, s_q and the output rows h among them."""
-    a = denoiser._attention(q, k.shape[1])
+    arrays, e, s_q and the output rows h among them. key_bias (B, S) leads
+    the keys as a column, as context() stores cross-attention's keys (None:
+    unbiased keys, as self-attention's)."""
+    a = denoiser._attention(q, k.shape[1], biased=key_bias is not None)
     a["k"], a["v"] = k, v
-    denoiser._attend(a, key_bias)
+    a["kb"] = k if key_bias is None else np.concatenate([key_bias[:, :, None], k], axis=2)
+    denoiser._attend(a)
     return a
 
 
@@ -72,13 +78,44 @@ def test_cross_attention_matches_scalar_oracle():
     c2 = rng.standard_normal((2, 4))
     f2 = rng.standard_normal((5, 6))
     padded = np.stack([c, np.vstack([c2, 100.0 * np.ones((1, 4))])])
-    bias = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+    bias = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, denoiser._PAD]])
     cache = _attend(*_project(np.stack([f, f2]), padded, wq, wk, wv), bias)
     # h holds the rows of both images, one after the other
     np.testing.assert_allclose(cache["h"][:5], _scalar_attention(f, c, wq, wk, wv), atol=1e-12)
     np.testing.assert_allclose(cache["h"][5:], _scalar_attention(f2, c2, wq, wk, wv), atol=1e-12)
     assert np.all(cache["e"][1, 2] == 0.0)
     np.testing.assert_allclose(_weights(cache).sum(axis=1), np.ones((2, 5)), atol=1e-12)
+
+
+def test_key_bias_column_leaves_real_logits_and_zeroes_padded_weights(tiny_model):
+    """Cross-attention's logits are one product of the keys behind their
+    padding bias column and q^T below a row of ones. A real key's logits
+    have the bytes of k @ q^T and its weights those of a softmax over the
+    real keys alone; a padded key's weight is exactly zero. The image is
+    3x3, so the 9 queries fill a partial block of OpenBLAS's kernel, and no
+    numpy warning is raised."""
+    cfg = dataclasses.replace(tiny_model.config, height=3, width=3)
+    model = denoiser.build_model(cfg, seed=2, vocab=tiny_model.vocab)
+    rng = np.random.default_rng(11)
+    lengths = (2, 5, 1)
+    ctx = denoiser.context(model, [rng.standard_normal((m, cfg.d_text)) for m in lengths])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, cache = denoiser.forward(model, rng.standard_normal((3, 3, 3)), [5, 1, 9], ctx)
+    for l, bc in enumerate(cache["blocks"], start=1):
+        kb, k, v = ctx.kv[l - 1]
+        ca = bc["ca"]
+        q_view, qT, _ = ca["qT"]
+        assert np.all(qT[:, 0] == 1.0)
+        logits = np.matmul(kb, qT)
+        for i, m in enumerate(lengths):
+            assert np.all(kb[i, :m, 0] == 0.0) and np.all(kb[i, m:, 0] == denoiser._PAD)
+            # the product over all S keys, as an unbiased kernel runs it
+            plain = (k[i] @ np.ascontiguousarray(q_view[i]))[:m]
+            assert logits[i, :m].tobytes() == plain.tobytes(), (l, i)
+            e = np.exp(plain - plain.max(axis=0))
+            assert ca["e"][i, :m].tobytes() == e.tobytes(), (l, i)
+            assert np.all(ca["e"][i, m:] == 0.0)
 
 
 def test_fused_projection_blocks_are_views(tiny_model):
@@ -103,9 +140,12 @@ def test_fused_projection_blocks_are_views(tiny_model):
     # the workspace's binding for a batch of 2 keeps each block's fused array
     binding = ws[2]
     for l, bc in enumerate(cache["blocks"], start=1):
-        k, v = ctx.kv[l - 1]
-        assert k.shape == v.shape == (2, 5, dp)
-        assert k.base is not None and k.base is v.base and k.base.shape == (2 * 5, 2 * dp)
+        kb, k, v = ctx.kv[l - 1]
+        assert k.shape == v.shape == (2, 5, dp) and kb.shape == (2, 5, 1 + dp)
+        assert k.base is not None and k.base is v.base is kb.base
+        assert k.base.shape == (2 * 5, 1 + 2 * dp)
+        # the keys behind their padding bias column are the keys themselves
+        assert np.shares_memory(kb[..., 1:], k) and kb[..., 1:].tobytes() == k.tobytes()
         qkv = binding.blocks[l - 1]["qkv"]
         assert qkv.shape == (2 * n, 3 * dp)
         assert all(np.shares_memory(bc["sa"][name], qkv) for name in "qkv")
@@ -258,9 +298,8 @@ def test_context_holds_each_forward_weight_transposed_and_read_only(tiny_model):
     w_time = p[ParamKey(0, ROLE_OTHER, "w_time")]
     assert ctx.w_timeT.flags.c_contiguous
     assert ctx.w_timeT.tobytes() == np.ascontiguousarray(w_time.T).tobytes()
-    arrays = [ctx.c, ctx.key_bias, ctx.w_timeT] + [a for group in ctx.kv + ctx.w + ctx.wt
-                                                   for a in group]
-    assert len(arrays) == 3 + 11 * cfg.blocks
+    arrays = [ctx.c, ctx.w_timeT] + [a for group in ctx.kv + ctx.w + ctx.wt for a in group]
+    assert len(arrays) == 2 + 12 * cfg.blocks
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0

@@ -1,10 +1,14 @@
 """Forward process, losses, and the respaced guided sampler."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from kvdiff import denoiser, diffusion, textmod
-from kvdiff.errors import InvalidInput
+from kvdiff.denoiser import ParamKey, ROLE_OTHER
+from kvdiff.errors import InvalidInput, NumericalFailure
 
 
 def test_schedule_basic_properties():
@@ -130,6 +134,71 @@ def test_sample_cfg_matches_manual_posterior_recursion(tiny_model):
         else:
             x = mean + np.sqrt(var) * rng.standard_normal(x.shape)
     np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("T,steps", [(200, 25), (30, 30)])
+def test_ladder_rows_are_each_steps_own_time_rows_bit_for_bit(tiny_model, T, steps):
+    """A respaced ladder and one whose step count equals T: each step's rows
+    of the one product over the ladder have the bytes of that step's
+    timesteps run alone, for a guided pair and for a batch of one (a
+    matrix-vector product)."""
+    cond, uncond = _captions(tiny_model, "photo of a blob")
+    ts = diffusion.sampling_timesteps(T, steps)
+    assert len(ts) == steps
+    for captions in ((cond, uncond), (cond,)):
+        ctx = denoiser.context(tiny_model, captions)
+        ladder = denoiser.ladder(ctx, ts)
+        assert len(ladder) == steps
+        for t, rows in zip(ts.tolist(), ladder):
+            s_t = denoiser.sinusoidal_embedding(np.array([t] * len(captions)),
+                                                tiny_model.config.d_model)
+            assert rows.s_t.tobytes() == s_t.tobytes(), t
+            assert rows.te.tobytes() == (s_t @ ctx.w_timeT).tobytes(), t
+            with pytest.raises(ValueError):
+                rows.te[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("scale", [6.0, 1.0])
+def test_sample_cfg_is_a_loop_of_forward_and_the_posterior_update(tiny_model, scale):
+    """sample_cfg gives the bytes of a hand loop of forward() on its own
+    timesteps, one noise draw per step and the update written out: the
+    ladder changes where the time embedding is computed, not its bytes."""
+    sched = diffusion.NoiseSchedule.linear(T=200)
+    cond, uncond = _captions(tiny_model, "photo of a blob")
+    got = diffusion.sample_cfg(tiny_model, cond, 25, scale, 4, sched, uncond=uncond)
+
+    captions = (cond,) if scale == 1.0 else (cond, uncond)
+    ctx = denoiser.context(tiny_model, captions)
+    ts = diffusion.sampling_timesteps(200, 25).tolist()
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(tiny_model.image_shape)
+    for t, t_prev in zip(ts, ts[1:] + [0]):
+        eps, _ = denoiser.forward(tiny_model, np.stack([x] * len(captions)),
+                                  (t,) * len(captions), ctx)
+        eps_hat = eps[0] if scale == 1.0 else eps[1] + scale * (eps[0] - eps[1])
+        ab_t, ab_p = sched.alpha_bar_at(t), sched.alpha_bar_at(t_prev)
+        x0_hat = np.clip((x - math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(ab_t), -1.0, 1.0)
+        beta_eff = 1.0 - ab_t / ab_p
+        x = (math.sqrt(ab_p) * beta_eff / (1.0 - ab_t) * x0_hat
+             + math.sqrt(ab_t / ab_p) * (1.0 - ab_p) / (1.0 - ab_t) * x)
+        var = beta_eff * (1.0 - ab_p) / (1.0 - ab_t)
+        if var > 0:
+            x = x + math.sqrt(var) * rng.standard_normal(x.shape)
+    assert got.tobytes() == x.tobytes()
+
+
+def test_an_overflowing_readout_raises_a_typed_failure_naming_the_step(tiny_model):
+    """Finite weights whose readout overflows (w_out near the largest
+    double) give a non-finite prediction at the first step, t = T: sample_cfg
+    raises NumericalFailure, and numpy's overflow warnings stay quiet."""
+    tiny_model.params[ParamKey(0, ROLE_OTHER, "w_out")][:] = 1e308
+    sched = diffusion.NoiseSchedule.linear(T=30)
+    cond, uncond = _captions(tiny_model, "photo of a blob")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (6.0, 1.0):
+            with pytest.raises(NumericalFailure, match="non-finite noise prediction at t=30"):
+                diffusion.sample_cfg(tiny_model, cond, 5, scale, 0, sched, uncond=uncond)
 
 
 def test_sample_cfg_determinism_and_guidance_branches(tiny_model, monkeypatch):

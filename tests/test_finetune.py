@@ -354,3 +354,43 @@ def test_training_with_and_without_a_workspace_is_byte_identical(tiny_model, mon
     for k in tiny_model.params.sorted_keys():
         assert shared.model.params[k].tobytes() == fresh.model.params[k].tobytes(), k
     assert shared.model.vocab.embeddings.tobytes() == fresh.model.vocab.embeddings.tobytes()
+
+
+@pytest.mark.parametrize("scope,use_reg", [(finetune.SCOPE_KV_ONLY, "retrieved"),
+                                           (finetune.SCOPE_ALL, "none")])
+def test_training_with_and_without_shared_fixed_weights_is_byte_identical(
+        tiny_model, monkeypatch, scope, use_reg):
+    """kv_only builds the context's weights other than the cross-attention
+    K/V once per fine-tune, all_unet every step; both give the bytes of a
+    run whose every step builds its whole context afresh. Every context
+    projects its captions with its own step's K/V weights."""
+    sched = diffusion.NoiseSchedule.linear(T=25)
+    mod = textmod.register_modifier(tiny_model.vocab, "<new1>")
+    targets = _examples(tiny_model, modifier=mod)
+    reg = datamod.RegularizationSet(examples=_examples(tiny_model, seed=8))
+    cfg = finetune.FineTuneConfig(steps=6, learning_rate=1e-3, batch=4, trainable_scope=scope,
+                                  use_reg=use_reg, use_aug=False, seed=2, cond_dropout=0.3)
+    inner = denoiser.context
+    given, kv = [], []
+
+    def recorded(model, captions, fixed=None):
+        given.append(fixed)
+        ctx = inner(model, captions, fixed)
+        kv.append(ctx.w[0][1])
+        return ctx
+
+    monkeypatch.setattr(denoiser, "context", recorded)
+    shared = finetune.finetune(tiny_model, [(targets, mod)], cfg, reg, sched)
+    if scope == finetune.SCOPE_KV_ONLY:
+        assert given[0] is not None and all(f is given[0] for f in given)
+    else:
+        assert given == [None] * cfg.steps
+    assert len({a.tobytes() for a in kv}) == cfg.steps
+    # every step's context built whole, with no weights carried over
+    monkeypatch.setattr(denoiser, "context", lambda model, captions, fixed=None:
+                        inner(model, captions))
+    fresh = finetune.finetune(tiny_model, [(targets, mod)], cfg, reg, sched)
+    assert shared.loss_curve.tobytes() == fresh.loss_curve.tobytes()
+    for k in tiny_model.params.sorted_keys():
+        assert shared.model.params[k].tobytes() == fresh.model.params[k].tobytes(), k
+    assert shared.model.vocab.embeddings.tobytes() == fresh.model.vocab.embeddings.tobytes()
