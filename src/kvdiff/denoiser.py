@@ -191,18 +191,21 @@ def _attention(q, s, biased=False):
     "qT", the triple of its transposed view, the C-contiguous array qT
     (B, 1 + dp, N) when `biased` and (B, dp, N) otherwise, and the part of
     qT that _attend() copies that view into: all of it, or every row below
-    a leading row of ones that multiplies the keys' bias column; the logits
-    e (B, S, N), key-major, and eT; the logits' max; each query's sum s_q
+    a leading row of ones that multiplies the keys' bias column; "shift",
+    whether _attend() always shifts the logits by each query's max (the
+    biased cross-attention, whose padded keys hold _PAD); the logits e
+    (B, S, N), key-major, and eT; the logits' max; each query's sum s_q
     (B, N) and s_q3, its (B, N, 1) view; the output h3 (B, N, dp) and h, its
-    (B*N, dp) rows. The caller sets its keys "k" and values "v"
-    (B, S, dp), and "kb", the left operand of the logits' product: the keys,
-    or with `biased` the keys behind their bias column (B, S, 1 + dp)."""
+    (B*N, dp) rows. The caller sets its keys "k" and values "v" (B, S, dp),
+    "v1", the values ahead of a column of ones (B, S, 1 + dp), and "kb", the
+    left operand of the logits' product: the keys, or with `biased` the keys
+    behind their bias column (B, S, 1 + dp)."""
     b, n, dp = q.shape
     h3, s_q = np.empty((b, n, dp)), np.empty((b, n))
     ones = 1 if biased else 0
     qT = np.empty((b, ones + dp, n))
     qT[:, :ones] = 1.0
-    a = {"q": q, "qT": (q.transpose(0, 2, 1), qT, qT[:, ones:]),
+    a = {"q": q, "qT": (q.transpose(0, 2, 1), qT, qT[:, ones:]), "shift": biased,
          "max": np.empty((b, 1, n)), "s_q": s_q, "s_q3": s_q[:, :, None], "h3": h3,
          "h": h3.reshape(b * n, dp)}
     a["e"], a["eT"] = _key_major(b, s, n)
@@ -218,7 +221,9 @@ class _Binding:
     block's input "f" (f0 for block 1, the output "out" of the block before
     for the others); the cross-attention queries "cq"; the fused
     self-attention projection "qkv", whose column blocks are that
-    sublayer's q, k and v; the activations "f1", "f2" and "r"; and each
+    sublayer's q, k and v, a view of an array with one more column, of
+    ones, which the projection never writes, so that v and that column are
+    the sublayer's "v1"; the activations "f1", "f2" and "r"; and each
     attention sublayer's _attention() arrays, "ca" and "sa". scratch holds
     backward()'s arrays, one set the blocks share, built by its first call
     (a sampling loop never needs them): the gradients of the MLP and of the
@@ -226,8 +231,8 @@ class _Binding:
     (self-attention) and of dq and dkv (cross-attention), and each
     sublayer's dz, key-major like its e, with the arrays both sublayers use
     in turn (dh, its (B, N, dp) view, the pair "dhT" of that view's
-    transpose and the C-contiguous array it is copied into, dhh and
-    rowsum).
+    transpose and the C-contiguous array (B, dp + 1, N) it is copied into,
+    whose last row "rowsum" holds -rowsum(dh * h), and dhh).
 
     Only the arrays whose shape holds S are rebuilt when S changes
     (bind_keys()): the cross-attention logits, and backward's dz, dkv and
@@ -241,11 +246,13 @@ class _Binding:
         self.f0_3 = f.reshape(bsz, n, d)
         self.blocks = []
         for _ in range(cfg.blocks):
-            cq, qkv = np.empty((rows, dp)), np.empty((rows, 3 * dp))
+            cq, qkv1 = np.empty((rows, dp)), np.empty((rows, 3 * dp + 1))
+            qkv1[:, -1] = 1.0
+            qkv = qkv1[:, :-1]
             q, k, v = _blocks(qkv, 3, (bsz, n, dp))
             sa = _attention(q, n)
             sa["k"] = sa["kb"] = k
-            sa["v"] = v
+            sa["v"], sa["v1"] = v, qkv1[:, 2 * dp:].reshape(bsz, n, dp + 1)
             bc = {"f": f, "cq": cq, "ca": _attention(cq.reshape(bsz, n, dp), s, biased=True),
                   "f1": np.empty((rows, d)), "qkv": qkv, "sa": sa,
                   "f2": np.empty((rows, d)), "r": np.empty((rows, cfg.hidden)),
@@ -269,12 +276,10 @@ class _Binding:
             cfg, bsz = self.cfg, self.bsz
             n, d, dp, hidden = cfg.n_tokens, cfg.d_model, cfg.d_attn, cfg.hidden
             rows = bsz * n
-            dh, rowsum = np.empty((rows, dp)), np.empty((bsz, n))
+            dh, dhT1 = np.empty((rows, dp)), np.empty((bsz, dp + 1, n))
             dh3 = dh.reshape(bsz, n, dp)
-            dhT = (dh3.transpose(0, 2, 1), np.empty((bsz, dp, n)))
-            shared = {"dh": dh, "dh3": dh3, "dhT": dhT,
-                      "dhh": np.empty((bsz, n, dp)), "rowsum": rowsum,
-                      "rowsum_b": rowsum[:, None, :]}
+            shared = {"dh": dh, "dh3": dh3, "dhT": (dh3.transpose(0, 2, 1), dhT1[:, :dp]),
+                      "dhT1": dhT1, "rowsum": dhT1[:, dp], "dhh": np.empty((bsz, n, dp))}
             dqkv, dq = np.empty((rows, 3 * dp)), np.empty((rows, dp))
             sa = dict(shared)
             sa["dq"], sa["dk"], sa["dv"] = _blocks(dqkv, 3, (bsz, n, dp))
@@ -309,6 +314,20 @@ def _binding(ws, cfg, bsz, s):
     return b
 
 
+# the largest |logit| of a self-attention softmax that _attend() takes
+# without a shift: exp of a logit in [-600, 600] lies in [2.6e-261,
+# 3.8e260], so every term and every sum of fewer than 1e47 of them is a
+# finite, normal double
+_SHIFT_FREE = 600.0
+
+
+def _in_range(e):
+    """Whether every logit of e lies in [-_SHIFT_FREE, _SHIFT_FREE] (False
+    when one is NaN): two whole-array reductions."""
+    return bool(np.minimum.reduce(e, axis=None) >= -_SHIFT_FREE
+                and np.maximum.reduce(e, axis=None) <= _SHIFT_FREE)
+
+
 def _attend(a):
     """Single-head softmax attention of the sublayer arrays `a`
     (_attention()): its queries a["q"] (B, N, dp) over its keys a["k"] and
@@ -323,32 +342,45 @@ def _attend(a):
     The softmax is left unnormalized: a["e"] holds e = exp(logits - max),
     key-major, a (B, S, N) with e[b, j, i] the term of key j for query i, so
     the max and the sum reduce across its S rows and broadcast along its
-    contiguous query axis, and a["s_q"] each query's sum. The output h =
-    (e^T v) / s_q, written to a["h3"] (so also its rows a["h"]), is divided
-    instead of the (B, S, N) weights. The logits' matmul reads a
-    C-contiguous copy of q^T: OpenBLAS multiplies by the transposed view
-    more slowly, for the same bytes."""
+    contiguous query axis, and a["s_q"] each query's sum. The shift by each
+    query's max is taken where it is needed: always in cross-attention
+    (a["shift"]), whose padded keys hold _PAD; in self-attention only when
+    some logit of the call leaves [-_SHIFT_FREE, _SHIFT_FREE], and then
+    image by image, for the images whose own logits leave it, so an image's
+    bytes never depend on the rest of its batch. Within the range e =
+    exp(logits), the same softmax. The output h = (e^T v) / s_q, written to
+    a["h3"] (so also its rows a["h"]), is divided instead of the (B, S, N)
+    weights. The logits' matmul reads a C-contiguous copy of q^T: OpenBLAS
+    multiplies by the transposed view more slowly, for the same bytes."""
     q_view, qT, q_rows = a["qT"]
     q_rows[...] = q_view
     e = np.matmul(a["kb"], qT, out=a["e"])
     # the reductions as ufunc methods, which skip np.max's and np.sum's
     # Python-level dispatch
-    e -= np.maximum.reduce(e, axis=1, keepdims=True, out=a["max"])
+    if a["shift"]:
+        e -= np.maximum.reduce(e, axis=1, keepdims=True, out=a["max"])
+    elif not _in_range(e):
+        for eb, mb in zip(e, a["max"]):
+            if not _in_range(eb):
+                eb -= np.maximum.reduce(eb, axis=0, keepdims=True, out=mb)
     np.exp(e, out=e)
     np.add.reduce(e, axis=1, out=a["s_q"])
     h = np.matmul(a["eT"], a["v"], out=a["h3"])
     h /= a["s_q3"]
 
 
-def _attn_backward(a, g, dout, ko, p, want, grads):
+def _attn_backward(a, g, dout, ko, p, want, grads, dq=True):
     """Backprop through one _attend() on the sublayer arrays `a` and its
     output projection p[ko], for dout given as rows like a["h"]: the
     gradient of ko, summed over the batch, goes into grads when ko is in
-    `want`, and the gradients of the kernel's q, k and v are written into
-    g["dq"], g["dk"] and g["dv"], views into one fused array of the
-    sublayer's backward scratch g. The normalization moves onto dh as it did
-    onto h: with dh /= s_q, the softmax weights A = e / s_q drop out, dv = e
-    dh and dz = e * (v dh^T - rowsum(dh * h)), key-major like e."""
+    `want`, and the gradients of the kernel's k and v, and of its q when
+    `dq`, are written into g["dk"], g["dv"] and g["dq"], views into one
+    fused array of the sublayer's backward scratch g. The normalization
+    moves onto dh as it did onto h: with dh /= s_q, the softmax weights
+    A = e / s_q drop out, dv = e dh and dz = e * (v dh^T - rowsum(dh * h)),
+    key-major like e. The row sum is a term of the product: v1, the values
+    ahead of a column of ones, times g["dhT1"], the C-contiguous copy of
+    dh^T (as in _attend()) above a row of -rowsum(dh * h)."""
     if ko in want:
         grads[ko] = dout.T @ a["h"]
     np.matmul(dout, p[ko], out=g["dh"])
@@ -356,18 +388,15 @@ def _attn_backward(a, g, dout, ko, p, want, grads):
     dh /= a["s_q3"]
     np.matmul(a["e"], dh, out=g["dv"])
     # dz = A * (dA - colsum(A * dA)) with dA = V (s_q dh)^T, computed in
-    # place; colsum(A * dA) = s_q rowsum(dh * h), since h = A^T V. dh^T is
-    # read as a C-contiguous copy, as in _attend(), but for a single key,
-    # where numpy runs a matrix-vector product, whose bytes the copy changes
+    # place; colsum(A * dA) = s_q rowsum(dh * h), since h = A^T V
     dhT, dhT_copy = g["dhT"]
-    if a["v"].shape[1] > 1:
-        dhT_copy[...] = dhT
-        dhT = dhT_copy
-    dz = np.matmul(a["v"], dhT, out=g["dz"])
-    np.add.reduce(np.multiply(dh, a["h3"], out=g["dhh"]), axis=2, out=g["rowsum"])
-    dz -= g["rowsum_b"]
+    dhT_copy[...] = dhT
+    rowsum = np.add.reduce(np.multiply(dh, a["h3"], out=g["dhh"]), axis=2, out=g["rowsum"])
+    np.negative(rowsum, out=rowsum)
+    dz = np.matmul(a["v1"], g["dhT1"], out=g["dz"])
     dz *= a["e"]
-    np.matmul(g["dzT"], a["k"], out=g["dq"])
+    if dq:
+        np.matmul(g["dzT"], a["k"], out=g["dq"])
     np.matmul(dz, a["q"], out=g["dk"])
 
 
@@ -417,10 +446,12 @@ class Weights(NamedTuple):
 class Context(NamedTuple):
     """B captions as forward() reads them: their features padded to the
     longest, c (B, S, d_text); each caption's length; each block's
-    cross-attention keys and values, kv[l - 1] = (kb, k, v): the keys k and
-    values v (B, S, d_attn), and kb (B, S, 1 + d_attn), the keys behind
-    their padding bias column (0 for a real key, _PAD for padding), all
-    column blocks of one (B*S, 1 + 2*d_attn) array; each block's attention
+    cross-attention keys and values, kv[l - 1] = (kb, k, v, v1): the keys k
+    and values v (B, S, d_attn), kb (B, S, 1 + d_attn), the keys behind
+    their padding bias column (0 for a real key, _PAD for padding), and v1
+    (B, S, d_attn + 1), the values ahead of a column of ones, which
+    backward() multiplies by dh^T above a row of -rowsum, all column blocks
+    of one (B*S, 2 + 2*d_attn) array; each block's attention
     weights as backward() reads them, w[l - 1] = (s*wq cross, [wk; wv]
     cross, [s*wq; wk; wv] self); and the Weights' transposes wt and
     w_timeT. Every array is read-only."""
@@ -486,12 +517,14 @@ def context(model, captions, fixed=None):
         _, ck, cv, _ = _block_keys(l)[0]
         wckv = _frozen(np.concatenate([p[ck], p[cv]]))
         w.append((wcq, wckv, wqkv))
-        bkv = np.empty((bsz * s, 1 + 2 * dp))
+        bkv = np.empty((bsz * s, 2 + 2 * dp))
         bkv[:, 0] = bias
-        bkv[:, 1:] = rows @ wckv.T.copy()
+        bkv[:, 1:-1] = rows @ wckv.T.copy()
+        bkv[:, -1] = 1.0
         _frozen(bkv)
         kv.append((bkv[:, :1 + dp].reshape(bsz, s, -1),
-                   *_blocks(bkv[:, 1:], 2, (bsz, s, dp))))
+                   *_blocks(bkv[:, 1:-1], 2, (bsz, s, dp)),
+                   bkv[:, 1 + dp:].reshape(bsz, s, -1)))
     return Context(_frozen(cpad), lengths, tuple(kv), tuple(w), fixed.wt, fixed.w_timeT)
 
 
@@ -569,7 +602,7 @@ def forward(model, x_t, t, ctx, workspace=None):
         # block (and any later blocks) rather than feeding the output
         # projection directly
         np.matmul(f, wcq, out=bc["cq"])
-        ca["kb"], ca["k"], ca["v"] = kv
+        ca["kb"], ca["k"], ca["v"], ca["v1"] = kv
         _attend(ca)
         f1 = np.matmul(ca["h"], wco, out=bc["f1"])
         f1 += f
@@ -598,10 +631,14 @@ def backward(model, cache, d_eps, keys=None):
     of one array (self-attention's q, k and v; cross-attention's k and v),
     so its input gradient is one matmul with the context's stacked weights,
     and the gradients of its wanted stacked weights one more
-    (_stacked_grads()). Returns (grads, d_c): grads maps each ParamKey in
-    `keys` (every key when None) to its gradient summed over the batch, and
-    d_c lists each example's text-feature gradient, cut back to its
-    caption's length. Neither shares memory with the workspace."""
+    (_stacked_grads()). It stops at the lowest wanted weight: block 1's
+    cross-attention query gradient, and the input gradient below it, are
+    computed only when a weight there (that query weight, w_pix or w_time)
+    is wanted, which a kv_only step never does. Returns (grads, d_c): grads
+    maps each ParamKey in `keys` (every key when None) to its gradient
+    summed over the batch, and d_c lists each example's text-feature
+    gradient, cut back to its caption's length. Neither shares memory with
+    the workspace."""
     cfg = model.config
     p = model.params
     want = set(p) if keys is None else set(keys)
@@ -612,6 +649,7 @@ def backward(model, cache, d_eps, keys=None):
     d_c = np.zeros_like(ctx.c)
     d = cfg.d_model
     scale = cfg.d_attn ** -0.5
+    below = not want.isdisjoint((_block_keys(1)[0][0], _W_PIX, _W_TIME))
 
     deps = np.asarray(d_eps, dtype=np.float64).reshape(x.shape)
     if _W_OUT in want:
@@ -644,13 +682,15 @@ def backward(model, cache, d_eps, keys=None):
         df1 = np.matmul(sc["dqkv"], wqkv, out=sc["df1"])
         df1 += df2
         # cross-attention residual
-        _attn_backward(bc["ca"], sc["ca"], df1, cross[3], p, want, grads)
+        dq = l > 1 or below
+        _attn_backward(bc["ca"], sc["ca"], df1, cross[3], p, want, grads, dq)
         _stacked_grads(sc["dq"], bc["f"], cross[:1], want, grads, scale)
         _stacked_grads(sc["dkv"], crows, cross[1:3], want, grads, scale)
         np.matmul(sc["dkv"], wckv, out=sc["dc"])
         d_c += sc["dc3"]
-        df = np.matmul(sc["dq"], wcq, out=sc["df"])
-        df += df1
+        if dq:
+            df = np.matmul(sc["dq"], wcq, out=sc["df"])
+            df += df1
 
     # input embedding
     if _W_PIX in want:

@@ -36,6 +36,12 @@ class NoiseSchedule:
         if not np.all((betas > 0.0) & (betas < 1.0)):
             raise InvalidInput("beta schedule leaves (0,1); reduce beta_end or increase T")
         alpha_bar = np.cumprod(1.0 - betas)
+        # the sampler divides by 1 - alpha_bar and by alpha_bar, which falls
+        # from its first value to its last
+        if not (alpha_bar[0] < 1.0 and alpha_bar[-1] > 0.0):
+            raise InvalidInput(f"alpha_bar reaches {alpha_bar[0]!r}..{alpha_bar[-1]!r}, "
+                               "outside (0, 1): betas too small to change the image "
+                               "or too large for a chain of this length")
         return cls(betas=betas, alpha_bar=alpha_bar, T=T, beta_start=beta_start,
                    beta_end=beta_end)
 

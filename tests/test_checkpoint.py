@@ -152,6 +152,26 @@ def test_schedule_round_trip_is_exact(tmp_path, tiny_model):
     assert np.array_equal(lsched.alpha_bar, sched.alpha_bar)
 
 
+@pytest.mark.parametrize("schedule", [{"T": 25, "beta_start": 1e-20, "beta_end": 1e-19},
+                                      {"T": 1000, "beta_start": 0.5, "beta_end": 0.9}])
+def test_a_schedule_whose_alpha_bar_reaches_1_or_0_is_refused_at_load(tmp_path, tiny_model,
+                                                                     sched, capsys, schedule):
+    """A checkpoint whose schedule meta rebuilds an alpha-bar of 1.0 or 0.0
+    is refused by load_model, so `sample` exits 2 on one error line and
+    never reaches the sampler's division by 1 - alpha_bar or alpha_bar."""
+    path, bad = str(tmp_path / "m.ckpt"), str(tmp_path / "bad.ckpt")
+    checkpoint.save_model(path, tiny_model, sched)
+    _rewrite_manifest(path, bad, lambda m: m["meta"].__setitem__("schedule", schedule))
+    with pytest.raises(InvalidInput, match="alpha_bar"):
+        checkpoint.load_model(bad)
+    out = tmp_path / "img.pgm"
+    assert run_command(["sample", "--model", bad, "--prompt", "photo of a blob",
+                        "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha_bar") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_save_load_save_is_byte_stable(tmp_path, tiny_model, sched):
     p1 = str(tmp_path / "a.ckpt")
     p2 = str(tmp_path / "b.ckpt")

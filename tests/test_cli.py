@@ -443,6 +443,23 @@ def test_sampling_a_model_whose_readout_overflows_exits_2(tmp_path, cli_inputs, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schedule", [{"beta_start": 1e-20, "beta_end": 1e-19},
+                                      {"T": 1000, "beta_start": 0.5, "beta_end": 0.9}])
+def test_pretrain_with_a_schedule_whose_alpha_bar_reaches_1_or_0_exits_2(
+        tmp_path, cli_inputs, capsys, schedule):
+    """Every alpha-bar 1.0 (betas of 1e-20) or the last one 0.0 (a 1000-step
+    chain of betas 0.5 to 0.9): `pretrain` exits 2 on one error line before
+    training, and writes nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": schedule, "pretrain": {"steps": 2}}))
+    out = tmp_path / "base.ckpt"
+    assert run_command(["pretrain", "--config", str(cfg), "--vocab", str(cli_inputs / "vocab.json"),
+                        "--data", str(cli_inputs / "pretrain.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha_bar") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_configured_steps_are_capped_at_the_checkpoint_chain(tmp_path, cli_inputs):
     """The config's sampler steps are checked against the T of the
     checkpoint sampled from, not the config's schedule: pretrain never

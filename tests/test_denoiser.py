@@ -103,7 +103,7 @@ def test_key_bias_column_leaves_real_logits_and_zeroes_padded_weights(tiny_model
         warnings.simplefilter("error")
         _, cache = denoiser.forward(model, rng.standard_normal((3, 3, 3)), [5, 1, 9], ctx)
     for l, bc in enumerate(cache["blocks"], start=1):
-        kb, k, v = ctx.kv[l - 1]
+        kb, k, v, _ = ctx.kv[l - 1]
         ca = bc["ca"]
         q_view, qT, _ = ca["qT"]
         assert np.all(qT[:, 0] == 1.0)
@@ -140,10 +140,11 @@ def test_fused_projection_blocks_are_views(tiny_model):
     # the workspace's binding for a batch of 2 keeps each block's fused array
     binding = ws[2]
     for l, bc in enumerate(cache["blocks"], start=1):
-        kb, k, v = ctx.kv[l - 1]
+        kb, k, v, v1 = ctx.kv[l - 1]
         assert k.shape == v.shape == (2, 5, dp) and kb.shape == (2, 5, 1 + dp)
-        assert k.base is not None and k.base is v.base is kb.base
-        assert k.base.shape == (2 * 5, 1 + 2 * dp)
+        assert v1.shape == (2, 5, dp + 1)
+        assert k.base is not None and k.base is v.base is kb.base is v1.base
+        assert k.base.shape == (2 * 5, 2 + 2 * dp)
         # the keys behind their padding bias column are the keys themselves
         assert np.shares_memory(kb[..., 1:], k) and kb[..., 1:].tobytes() == k.tobytes()
         qkv = binding.blocks[l - 1]["qkv"]
@@ -187,6 +188,101 @@ def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(tiny_model):
         assert [a.tobytes() for a in got[0]] == [a.tobytes() for a in got[1]], (bsz, longest)
         assert set(ws) == set(bindings) | {bsz}
         assert ws[bsz] is bindings.setdefault(bsz, ws[bsz])
+
+
+def _self_logits(sa):
+    """Self-attention's logits (B, N, N), key-major, recomputed from the
+    arrays the kernel multiplied."""
+    return np.matmul(sa["kb"], sa["qT"][1])
+
+
+def test_self_attention_softmax_takes_a_shift_only_out_of_range(tiny_model):
+    """Within [-600, 600] self-attention's e is exp of its logits, bit for
+    bit: no shift. Self-attention query weights scaled by 1e3 push the
+    logits out of it; the kernel then takes the exact per-query shift (each
+    query's largest term is exp(0) == 1), the forward stays finite, and each
+    image's self-attention output matches the scalar oracle."""
+    cfg = tiny_model.config
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((2, cfg.height, cfg.width))
+    cs = [rng.standard_normal((m, cfg.d_text)) for m in (2, 4)]
+    _, cache = denoiser.forward(tiny_model, x, [3, 8], denoiser.context(tiny_model, cs))
+    for bc in cache["blocks"]:
+        logits = _self_logits(bc["sa"])
+        assert denoiser._in_range(logits)
+        assert bc["sa"]["e"].tobytes() == np.exp(logits).tobytes()
+
+    model = tiny_model.clone()
+    for l in range(1, cfg.blocks + 1):
+        model.params[ParamKey(l, ROLE_SELF, "wq")] *= 1e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps, cache = denoiser.forward(model, x, [3, 8], denoiser.context(model, cs))
+    assert np.isfinite(eps).all()
+    for l, bc in enumerate(cache["blocks"], start=1):
+        sa = bc["sa"]
+        for i, logits in enumerate(_self_logits(sa)):
+            assert np.abs(logits).max() > 600 and not denoiser._in_range(logits)
+            assert np.isfinite(sa["e"][i]).all()
+            assert np.all(sa["e"][i].max(axis=0) == 1.0), (l, i)
+            f1 = bc["f1"].reshape(2, cfg.n_tokens, -1)[i]
+            wq, wk, wv = (model.params[k] for k in denoiser._block_keys(l)[1][:3])
+            np.testing.assert_allclose(sa["h3"][i], _scalar_attention(f1, f1, wq, wk, wv),
+                                       rtol=0, atol=1e-12)
+
+
+def test_an_out_of_range_image_leaves_each_pair_of_its_batch_its_own_bytes():
+    """A guided batch of pairs in which one pair's image is scaled by 1e3, so
+    its self-attention logits leave [-600, 600] and the others' do not: only
+    that image takes the shift, and every pair keeps the bytes it has run
+    alone as a batch of 2. Default architecture, as in the many-pairs gate."""
+    vocab = fixtures.fixture_vocab()
+    model = denoiser.build_model(seed=2, vocab=vocab)
+    cfg = model.config
+    rng = np.random.default_rng(14)
+    model.params[ParamKey(0, ROLE_OTHER, "w_out")] = rng.standard_normal((1, cfg.d_model))
+    pair = [textmod.encode_caption(vocab, textmod.tokenize(vocab, caption))
+            for caption in ("photo of a blob", "")]
+    k, far = 4, 2
+    x = rng.standard_normal((k, cfg.height, cfg.width))
+    x[far] *= 1e3
+    ts = rng.integers(1, 200, k).tolist()
+    eps, cache = denoiser.forward(model, np.repeat(x, 2, axis=0), np.repeat(ts, 2),
+                                  denoiser.context(model, pair * k))
+    assert np.isfinite(eps).all()
+    logits = _self_logits(cache["blocks"][0]["sa"])
+    assert [denoiser._in_range(z) for z in logits] == [i // 2 != far for i in range(2 * k)]
+    for i in range(k):
+        alone, _ = denoiser.forward(model, np.stack([x[i], x[i]]), [ts[i]] * 2,
+                                    denoiser.context(model, pair))
+        assert eps[2 * i:2 * i + 2].tobytes() == alone.tobytes(), i
+
+
+def test_backward_for_some_keys_gives_the_bytes_of_backward_for_all(tiny_model):
+    """backward() stops at the lowest wanted weight: with the K/V keys alone
+    it skips block 1's cross-attention query gradient and the input gradient
+    below it, and the K/V gradients and every d_c keep the bytes of a call
+    for every key; so do the weights below, each asked for alone."""
+    cfg = tiny_model.config
+    vocab = tiny_model.vocab
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((3, cfg.height, cfg.width))
+    cs = [textmod.encode_caption(vocab, textmod.tokenize(vocab, caption))
+          for caption in ("", "a blob", "photo of a blob ring")]
+    d_eps = rng.standard_normal(x.shape)
+    ctx = denoiser.context(tiny_model, cs)
+    ws = {}
+    _, cache = denoiser.forward(tiny_model, x, [3, 11, 29], ctx, ws)
+    every, d_c = denoiser.backward(tiny_model, cache, d_eps)
+    kv = [k for k in tiny_model.params.sorted_keys() if k.role in denoiser.KV_ROLES]
+    below = [denoiser._block_keys(1)[0][0], ParamKey(0, ROLE_OTHER, "w_pix"),
+             ParamKey(0, ROLE_OTHER, "w_time")]
+    for keys in [kv] + [[k] for k in below]:
+        _, cache = denoiser.forward(tiny_model, x, [3, 11, 29], ctx, ws)
+        some, d_c_some = denoiser.backward(tiny_model, cache, d_eps, keys=keys)
+        assert list(some) == [k for k in every if k in keys]
+        assert all(some[k].tobytes() == every[k].tobytes() for k in keys), keys
+        assert [a.tobytes() for a in d_c_some] == [a.tobytes() for a in d_c]
 
 
 def test_forward_is_deterministic_and_validates_shapes(tiny_model):
@@ -299,7 +395,7 @@ def test_context_holds_each_forward_weight_transposed_and_read_only(tiny_model):
     assert ctx.w_timeT.flags.c_contiguous
     assert ctx.w_timeT.tobytes() == np.ascontiguousarray(w_time.T).tobytes()
     arrays = [ctx.c, ctx.w_timeT] + [a for group in ctx.kv + ctx.w + ctx.wt for a in group]
-    assert len(arrays) == 2 + 12 * cfg.blocks
+    assert len(arrays) == 2 + 13 * cfg.blocks
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0

@@ -28,6 +28,21 @@ def test_schedule_basic_properties():
             diffusion.NoiseSchedule.linear(T=50, beta_start=beta_start)
 
 
+# schedules whose betas lie in (0, 1) but whose alpha-bar does not: 1 - beta
+# rounds to 1 for betas of 1e-20 (every alpha-bar is 1.0), and the product
+# of 1000 factors in 0.1..0.5 underflows (the last alpha-bar is 0.0)
+DEGENERATE_SCHEDULES = [{"T": 200, "beta_start": 1e-20, "beta_end": 1e-19},
+                        {"T": 1000, "beta_start": 0.5, "beta_end": 0.9}]
+
+
+@pytest.mark.parametrize("schedule", DEGENERATE_SCHEDULES)
+def test_schedule_whose_alpha_bar_reaches_1_or_0_is_refused(schedule):
+    """The sampler divides by 1 - alpha_bar and by alpha_bar, so a schedule
+    that reaches either end is refused where it is built."""
+    with pytest.raises(InvalidInput, match="alpha_bar"):
+        diffusion.NoiseSchedule.linear(**schedule)
+
+
 def test_schedule_rescale_keeps_terminal_alpha_bar():
     # shorter rescaled chains should end near the 1000-step terminal value
     # (at T=1000 the rescale factor is exactly 1)

@@ -122,6 +122,41 @@ def test_finetune_kv_only_touches_only_kv(tiny_model):
                                   tiny_model.vocab.embeddings[src])
 
 
+def test_an_all_dropout_fine_tune_meets_finite_differences(tiny_model):
+    """Every caption dropped to the start token alone: cross-attention has a
+    single key, whose softmax weight is exactly 1, so the loss does not
+    depend on the K weights. A few kv_only steps at cond_dropout 1, then
+    every K/V gradient of the tuned model against central differences of
+    the batch loss."""
+    sched = diffusion.NoiseSchedule.linear(T=25)
+    mod = textmod.register_modifier(tiny_model.vocab, "<new1>")
+    examples = _examples(tiny_model, modifier=mod)
+    cfg = finetune.FineTuneConfig(steps=5, learning_rate=1e-2, batch=4, use_reg="none",
+                                  use_aug=False, seed=4, cond_dropout=1.0)
+    model = finetune.finetune(tiny_model, [(examples, mod)], cfg, sched=sched).model
+    keys = finetune.trainable_set(model, finetune.SCOPE_KV_ONLY)
+
+    def loss_and_grads():
+        return finetune.batch_gradients(model, examples, sched, np.random.default_rng(6),
+                                        cond_dropout=1.0, keys=keys)[:2]
+
+    _, grads = loss_and_grads()
+    h = 1e-5
+    for key in sorted(keys):
+        w = model.params[key]
+        for idx in np.ndindex(w.shape):
+            orig = w[idx]
+            w[idx] = orig + h
+            lp = loss_and_grads()[0]
+            w[idx] = orig - h
+            lm = loss_and_grads()[0]
+            w[idx] = orig
+            fd = (lp - lm) / (2 * h)
+            if key.role == ROLE_CROSS_KEY:
+                assert fd == 0.0
+            assert abs(grads[key][idx] - fd) <= 1e-8 + 1e-5 * abs(fd), (key, idx)
+
+
 def test_finetune_rejects_bad_concepts(tiny_model):
     mod = textmod.register_modifier(tiny_model.vocab, "<new1>")
     cfg = finetune.FineTuneConfig(steps=1, learning_rate=1e-3, batch=2,
