@@ -184,38 +184,37 @@ def _key_major(b, s, n):
 _PAD = -np.finfo(np.float64).max
 
 
-def _attention(q, s, biased=False):
-    """The arrays of one attention sublayer over s keys, as _attend() writes
-    and _attn_backward() reads them, with their fixed views: the queries q
-    (B, N, dp), a view into the array their projection is written into, and
-    "qT", the triple of its transposed view, the C-contiguous array qT
-    (B, 1 + dp, N) when `biased` and (B, dp, N) otherwise, and the part of
-    qT that _attend() copies that view into: all of it, or every row below
-    a leading row of ones that multiplies the keys' bias column; "shift",
-    whether _attend() always shifts the logits by each query's max (the
-    biased cross-attention, whose padded keys hold _PAD); the logits e
-    (B, S, N), key-major, and eT; the logits' max; each query's sum s_q
-    (B, N) and s_q3, its (B, N, 1) view; the output h3 (B, N, dp) and h, its
-    (B*N, dp) rows. The caller sets its keys "k" and values "v" (B, S, dp),
-    "v1", the values ahead of a column of ones (B, S, 1 + dp), and "kb", the
-    left operand of the logits' product: the keys, or with `biased` the keys
+def _attention(q, biased=False):
+    """The arrays of one attention sublayer as _attend() writes and
+    _attn_backward() reads them, with their fixed views, all but the logits
+    (whose shape holds the keys): the queries q (B, N, dp), a view into the
+    array their projection is written into, and "qT", the triple of its
+    transposed view, the C-contiguous array qT (B, 1 + dp, N) when `biased`
+    and (B, dp, N) otherwise, and the part of qT that _attend() copies that
+    view into: all of it, or every row below a leading row of ones that
+    multiplies the keys' bias column; "shift", whether _attend() always
+    shifts the logits by each query's max (the biased cross-attention, for
+    the two reasons _attend() gives); the logits' max; each query's sum s_q
+    (B, N) and s_q3, its (B, N, 1) view; the output h3 (B, N, dp) and h,
+    its (B*N, dp) rows. The caller sets the logits "e" (B, S, N), key-major,
+    and "eT" (_key_major()), its keys "k" and values "v" (B, S, dp), "v1",
+    the values ahead of a column of ones (B, S, 1 + dp), and "kb", the left
+    operand of the logits' product: the keys, or with `biased` the keys
     behind their bias column (B, S, 1 + dp)."""
     b, n, dp = q.shape
     h3, s_q = np.empty((b, n, dp)), np.empty((b, n))
     ones = 1 if biased else 0
     qT = np.empty((b, ones + dp, n))
     qT[:, :ones] = 1.0
-    a = {"q": q, "qT": (q.transpose(0, 2, 1), qT, qT[:, ones:]), "shift": biased,
-         "max": np.empty((b, 1, n)), "s_q": s_q, "s_q3": s_q[:, :, None], "h3": h3,
-         "h": h3.reshape(b * n, dp)}
-    a["e"], a["eT"] = _key_major(b, s, n)
-    return a
+    return {"q": q, "qT": (q.transpose(0, 2, 1), qT, qT[:, ones:]), "shift": biased,
+            "max": np.empty((b, 1, n)), "s_q": s_q, "s_q3": s_q[:, :, None], "h3": h3,
+            "h": h3.reshape(b * n, dp)}
 
 
 class _Binding:
-    """A workspace's arrays for one batch size of one architecture, built
-    once with their fixed views, and the number of keys S of the
-    cross-attention they are shaped for (the longest caption).
+    """A workspace's arrays for one batch size of one architecture, forward's
+    and backward's, built together with their fixed views, and the number of
+    keys S of the cross-attention they are shaped for (the longest caption).
 
     blocks lists one dict per block, as forward()'s cache lists them: the
     block's input "f" (f0 for block 1, the output "out" of the block before
@@ -225,23 +224,22 @@ class _Binding:
     ones, which the projection never writes, so that v and that column are
     the sublayer's "v1"; the activations "f1", "f2" and "r"; and each
     attention sublayer's _attention() arrays, "ca" and "sa". scratch holds
-    backward()'s arrays, one set the blocks share, built by its first call
-    (a sampling loop never needs them): the gradients of the MLP and of the
-    sublayers' inputs, the q, k and v gradients as column blocks of dqkv
-    (self-attention) and of dq and dkv (cross-attention), and each
+    backward()'s arrays, one set the blocks share: the gradients of the MLP
+    and of the sublayers' inputs, the q, k and v gradients as column blocks
+    of dqkv (self-attention) and of dq and dkv (cross-attention), and each
     sublayer's dz, key-major like its e, with the arrays both sublayers use
     in turn (dh, its (B, N, dp) view, the pair "dhT" of that view's
     transpose and the C-contiguous array (B, dp + 1, N) it is copied into,
     whose last row "rowsum" holds -rowsum(dh * h), and dhh).
 
-    Only the arrays whose shape holds S are rebuilt when S changes
-    (bind_keys()): the cross-attention logits, and backward's dz, dkv and
-    dc."""
+    bind_keys() builds every array whose shape holds S, at construction and
+    again when S changes: the cross-attention logits, and backward's dz,
+    dkv and dc."""
 
     def __init__(self, cfg, bsz, s):
         n, d, dp = cfg.n_tokens, cfg.d_model, cfg.d_attn
         rows = bsz * n
-        self.cfg, self.bsz, self.s, self.scratch = cfg, bsz, s, None
+        self.cfg, self.bsz = cfg, bsz
         self.f0 = f = np.empty((rows, d))
         self.f0_3 = f.reshape(bsz, n, d)
         self.blocks = []
@@ -250,52 +248,42 @@ class _Binding:
             qkv1[:, -1] = 1.0
             qkv = qkv1[:, :-1]
             q, k, v = _blocks(qkv, 3, (bsz, n, dp))
-            sa = _attention(q, n)
+            sa = _attention(q)
+            sa["e"], sa["eT"] = _key_major(bsz, n, n)
             sa["k"] = sa["kb"] = k
             sa["v"], sa["v1"] = v, qkv1[:, 2 * dp:].reshape(bsz, n, dp + 1)
-            bc = {"f": f, "cq": cq, "ca": _attention(cq.reshape(bsz, n, dp), s, biased=True),
+            bc = {"f": f, "cq": cq, "ca": _attention(cq.reshape(bsz, n, dp), biased=True),
                   "f1": np.empty((rows, d)), "qkv": qkv, "sa": sa,
                   "f2": np.empty((rows, d)), "r": np.empty((rows, cfg.hidden)),
                   "out": np.empty((rows, d))}
             self.blocks.append(bc)
             f = bc["out"]
         self.out = f
+        dh, dhT1 = np.empty((rows, dp)), np.empty((bsz, dp + 1, n))
+        dh3 = dh.reshape(bsz, n, dp)
+        shared = {"dh": dh, "dh3": dh3, "dhT": (dh3.transpose(0, 2, 1), dhT1[:, :dp]),
+                  "dhT1": dhT1, "rowsum": dhT1[:, dp], "dhh": np.empty((bsz, n, dp))}
+        dqkv, dq = np.empty((rows, 3 * dp)), np.empty((rows, dp))
+        sa = dict(shared)
+        sa["dq"], sa["dk"], sa["dv"] = _blocks(dqkv, 3, (bsz, n, dp))
+        sa["dz"], sa["dzT"] = _key_major(bsz, n, n)
+        self.scratch = {
+            "df": np.empty((rows, d)), "dh1": np.empty((rows, cfg.hidden)),
+            "dtanh": np.empty((rows, cfg.hidden)), "df2": np.empty((rows, d)),
+            "df1": np.empty((rows, d)), "dqkv": dqkv, "dq": dq, "sa": sa,
+            "ca": {**shared, "dq": dq.reshape(bsz, n, dp)}}
+        self.bind_keys(s)
 
     def bind_keys(self, s):
-        """Rebuild the arrays whose shape holds S for s keys."""
+        """Build the arrays whose shape holds S for s keys."""
         self.s = s
+        bsz, n, dp = self.bsz, self.cfg.n_tokens, self.cfg.d_attn
         for bc in self.blocks:
             ca = bc["ca"]
-            ca["e"], ca["eT"] = _key_major(self.bsz, s, self.cfg.n_tokens)
-        if self.scratch is not None:
-            self._bind_scratch_keys()
-
-    def backward_scratch(self):
-        """backward()'s arrays, built on the first call."""
-        if self.scratch is None:
-            cfg, bsz = self.cfg, self.bsz
-            n, d, dp, hidden = cfg.n_tokens, cfg.d_model, cfg.d_attn, cfg.hidden
-            rows = bsz * n
-            dh, dhT1 = np.empty((rows, dp)), np.empty((bsz, dp + 1, n))
-            dh3 = dh.reshape(bsz, n, dp)
-            shared = {"dh": dh, "dh3": dh3, "dhT": (dh3.transpose(0, 2, 1), dhT1[:, :dp]),
-                      "dhT1": dhT1, "rowsum": dhT1[:, dp], "dhh": np.empty((bsz, n, dp))}
-            dqkv, dq = np.empty((rows, 3 * dp)), np.empty((rows, dp))
-            sa = dict(shared)
-            sa["dq"], sa["dk"], sa["dv"] = _blocks(dqkv, 3, (bsz, n, dp))
-            sa["dz"], sa["dzT"] = _key_major(bsz, n, n)
-            self.scratch = {
-                "df": np.empty((rows, d)), "dh1": np.empty((rows, hidden)),
-                "dtanh": np.empty((rows, hidden)), "df2": np.empty((rows, d)),
-                "df1": np.empty((rows, d)), "dqkv": dqkv, "dq": dq, "sa": sa,
-                "ca": {**shared, "dq": dq.reshape(bsz, n, dp)}}
-            self._bind_scratch_keys()
-        return self.scratch
-
-    def _bind_scratch_keys(self):
-        sc, bsz, s, dp = self.scratch, self.bsz, self.s, self.cfg.d_attn
+            ca["e"], ca["eT"] = _key_major(bsz, s, n)
+        sc = self.scratch
         ca = sc["ca"]
-        ca["dz"], ca["dzT"] = _key_major(bsz, s, self.cfg.n_tokens)
+        ca["dz"], ca["dzT"] = _key_major(bsz, s, n)
         dkv = sc["dkv"] = np.empty((bsz * s, 2 * dp))
         ca["dk"], ca["dv"] = _blocks(dkv, 2, (bsz, s, dp))
         dc = sc["dc"] = np.empty((bsz * s, self.cfg.d_text))
@@ -343,15 +331,20 @@ def _attend(a):
     key-major, a (B, S, N) with e[b, j, i] the term of key j for query i, so
     the max and the sum reduce across its S rows and broadcast along its
     contiguous query axis, and a["s_q"] each query's sum. The shift by each
-    query's max is taken where it is needed: always in cross-attention
-    (a["shift"]), whose padded keys hold _PAD; in self-attention only when
-    some logit of the call leaves [-_SHIFT_FREE, _SHIFT_FREE], and then
-    image by image, for the images whose own logits leave it, so an image's
-    bytes never depend on the rest of its batch. Within the range e =
-    exp(logits), the same softmax. The output h = (e^T v) / s_q, written to
-    a["h3"] (so also its rows a["h"]), is divided instead of the (B, S, N)
-    weights. The logits' matmul reads a C-contiguous copy of q^T: OpenBLAS
-    multiplies by the transposed view more slowly, for the same bytes."""
+    query's max is taken where it is needed. Cross-attention always takes it
+    (a["shift"]), for two reasons: its padded keys hold _PAD, and with the
+    shift a one-key caption's key gets a weight of exactly 1 (exp(0) over a
+    sum of 1), so the unconditional caption's row has the same bytes padded
+    or not (under the range rule below, a padded row, out of range through
+    its _PAD logits, would be shifted and an unpadded one not).
+    Self-attention takes it only when some logit of the call leaves
+    [-_SHIFT_FREE, _SHIFT_FREE], and then image by image, for the images
+    whose own logits leave it, so an image's bytes never depend on the rest
+    of its batch. Within the range e = exp(logits), the same softmax. The
+    output h = (e^T v) / s_q, written to a["h3"] (so also its rows a["h"]),
+    is divided instead of the (B, S, N) weights. The logits' matmul reads a
+    C-contiguous copy of q^T: OpenBLAS multiplies by the transposed view
+    more slowly, for the same bytes."""
     q_view, qT, q_rows = a["qT"]
     q_rows[...] = q_view
     e = np.matmul(a["kb"], qT, out=a["e"])
@@ -369,18 +362,18 @@ def _attend(a):
     h /= a["s_q3"]
 
 
-def _attn_backward(a, g, dout, ko, p, want, grads, dq=True):
+def _attn_backward(a, g, dout, ko, p, want, grads):
     """Backprop through one _attend() on the sublayer arrays `a` and its
     output projection p[ko], for dout given as rows like a["h"]: the
     gradient of ko, summed over the batch, goes into grads when ko is in
-    `want`, and the gradients of the kernel's k and v, and of its q when
-    `dq`, are written into g["dk"], g["dv"] and g["dq"], views into one
-    fused array of the sublayer's backward scratch g. The normalization
-    moves onto dh as it did onto h: with dh /= s_q, the softmax weights
-    A = e / s_q drop out, dv = e dh and dz = e * (v dh^T - rowsum(dh * h)),
-    key-major like e. The row sum is a term of the product: v1, the values
-    ahead of a column of ones, times g["dhT1"], the C-contiguous copy of
-    dh^T (as in _attend()) above a row of -rowsum(dh * h)."""
+    `want`, and the gradients of the kernel's q, k and v are written into
+    g["dq"], g["dk"] and g["dv"], the sublayer's part of the binding's
+    scratch g. The normalization moves onto dh as it did onto h: with
+    dh /= s_q, the softmax weights A = e / s_q drop out, dv = e dh and
+    dz = e * (v dh^T - rowsum(dh * h)), key-major like e. The row sum is a
+    term of the product: v1, the values ahead of a column of ones, times
+    g["dhT1"], the C-contiguous copy of dh^T (as in _attend()) above a row
+    of -rowsum(dh * h)."""
     if ko in want:
         grads[ko] = dout.T @ a["h"]
     np.matmul(dout, p[ko], out=g["dh"])
@@ -395,8 +388,7 @@ def _attn_backward(a, g, dout, ko, p, want, grads, dq=True):
     np.negative(rowsum, out=rowsum)
     dz = np.matmul(a["v1"], g["dhT1"], out=g["dz"])
     dz *= a["e"]
-    if dq:
-        np.matmul(g["dzT"], a["k"], out=g["dq"])
+    np.matmul(g["dzT"], a["k"], out=g["dq"])
     np.matmul(dz, a["q"], out=g["dk"])
 
 
@@ -451,16 +443,15 @@ class Context(NamedTuple):
     their padding bias column (0 for a real key, _PAD for padding), and v1
     (B, S, d_attn + 1), the values ahead of a column of ones, which
     backward() multiplies by dh^T above a row of -rowsum, all column blocks
-    of one (B*S, 2 + 2*d_attn) array; each block's attention
-    weights as backward() reads them, w[l - 1] = (s*wq cross, [wk; wv]
-    cross, [s*wq; wk; wv] self); and the Weights' transposes wt and
-    w_timeT. Every array is read-only."""
+    of one (B*S, 2 + 2*d_attn) array; the Weights it was built with,
+    `fixed`, which the passes read every other weight from; and each
+    block's stacked cross-attention [wk; wv], wckv[l - 1], which backward()
+    reads. Every array is read-only."""
     c: np.ndarray
     lengths: list
     kv: tuple
-    w: tuple
-    wt: tuple
-    w_timeT: np.ndarray
+    fixed: Weights
+    wckv: tuple
 
 
 class TimeRows(NamedTuple):
@@ -494,10 +485,9 @@ def weights(model):
 def context(model, captions, fixed=None):
     """The Context of a list of B >= 1 caption-feature arrays (s_b, d_text),
     s_b >= 1, projected with the model's current cross-attention K/V
-    weights, which it holds with the other weights the passes multiply by:
-    those of `fixed`, the model's Weights (built anew when None), which
-    must be current. It is valid only for those weights: build a new one
-    after any update."""
+    weights. It holds `fixed`, the model's Weights (built anew when None),
+    which must be current, for the passes' other weights. It is valid only
+    for those weights: build a new one after any update."""
     cfg = model.config
     p = model.params
     c = [np.asarray(cb, dtype=np.float64) for cb in captions]
@@ -512,20 +502,19 @@ def context(model, captions, fixed=None):
         cpad[i, :lengths[i]] = cb
     rows = cpad.reshape(bsz * s, -1)
     bias = np.where(np.arange(s) < np.array(lengths)[:, None], 0.0, _PAD).reshape(-1)
-    w, kv = [], []
-    for l, wcq, wqkv in zip(range(1, cfg.blocks + 1), fixed.wcq, fixed.wqkv):
+    wckv, kv = [], []
+    for l in range(1, cfg.blocks + 1):
         _, ck, cv, _ = _block_keys(l)[0]
-        wckv = _frozen(np.concatenate([p[ck], p[cv]]))
-        w.append((wcq, wckv, wqkv))
+        wckv.append(_frozen(np.concatenate([p[ck], p[cv]])))
         bkv = np.empty((bsz * s, 2 + 2 * dp))
         bkv[:, 0] = bias
-        bkv[:, 1:-1] = rows @ wckv.T.copy()
+        bkv[:, 1:-1] = rows @ wckv[-1].T.copy()
         bkv[:, -1] = 1.0
         _frozen(bkv)
         kv.append((bkv[:, :1 + dp].reshape(bsz, s, -1),
                    *_blocks(bkv[:, 1:-1], 2, (bsz, s, dp)),
                    bkv[:, 1 + dp:].reshape(bsz, s, -1)))
-    return Context(_frozen(cpad), lengths, tuple(kv), tuple(w), fixed.wt, fixed.w_timeT)
+    return Context(_frozen(cpad), lengths, tuple(kv), fixed, tuple(wckv))
 
 
 def time_rows(ctx, t):
@@ -535,9 +524,9 @@ def time_rows(ctx, t):
     own: the kernel, and so the bytes, of a call on that set alone (numpy
     runs a 1-row product as a matrix-vector one, which rounds differently)."""
     t = np.asarray(t)
-    d = ctx.w_timeT.shape[0]
+    d = ctx.fixed.w_timeT.shape[0]
     s_t = sinusoidal_embedding(t.reshape(-1), d).reshape(t.shape + (d,))
-    return TimeRows(s_t, np.matmul(s_t, ctx.w_timeT))
+    return TimeRows(s_t, np.matmul(s_t, ctx.fixed.w_timeT))
 
 
 def ladder(ctx, ts):
@@ -561,17 +550,17 @@ def forward(model, x_t, t, ctx, workspace=None):
     (B*h*w, 3*d_attn) array), then _attend(), which keeps its unnormalized
     weights key-major, e (B, S, N), and each query's sum s_q, and one matmul
     back through the output projection. Every weight is read from the
-    context's C-contiguous transposes, ctx.wt and ctx.w_timeT.
+    C-contiguous transposes of the context's Weights, ctx.fixed.
 
     `workspace` is a dict the caller keeps across calls (a fresh one when
     None). It holds one binding per batch size (_Binding): every array the
     pass writes, and that backward() writes, allocated on the binding's
     first use with the views the passes read, so a loop that keeps one
     workspace allocates them once per batch size; a change of the longest
-    caption rebuilds only the arrays shaped by it. The cache holds views
-    into the binding, valid until the next call with that workspace and
-    batch size, and into ctx; eps never does. Returns (eps (B, H, W),
-    cache)."""
+    caption rebuilds only the arrays shaped by it (_Binding.bind_keys()).
+    The cache holds views into the binding, valid until the next call with
+    that workspace and batch size, and into ctx; eps never does. Returns
+    (eps (B, H, W), cache)."""
     cfg = model.config
     p = model.params
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -596,7 +585,7 @@ def forward(model, x_t, t, ctx, workspace=None):
     b.f0_3 += positional_grid(cfg)
     b.f0_3 += t.te[:, None, :]
 
-    for bc, kv, (wcq, wco, wqkv, wso, w1, w2) in zip(b.blocks, ctx.kv, ctx.wt):
+    for bc, kv, (wcq, wco, wqkv, wso, w1, w2) in zip(b.blocks, ctx.kv, ctx.fixed.wt):
         f, ca = bc["f"], bc["ca"]
         # cross-attention first, so its output is decoded by the rest of the
         # block (and any later blocks) rather than feeding the output
@@ -625,20 +614,16 @@ def forward(model, x_t, t, ctx, workspace=None):
 def backward(model, cache, d_eps, keys=None):
     """Backprop through forward(). It reads the activations of the binding
     of the forward pass that made `cache` and writes into that binding's
-    backward scratch arrays, one set that the blocks share, as they run one
-    after another, built by the binding's first backward() call. Each
-    attention sublayer writes its q, k and v gradients as the column blocks
-    of one array (self-attention's q, k and v; cross-attention's k and v),
-    so its input gradient is one matmul with the context's stacked weights,
-    and the gradients of its wanted stacked weights one more
-    (_stacked_grads()). It stops at the lowest wanted weight: block 1's
-    cross-attention query gradient, and the input gradient below it, are
-    computed only when a weight there (that query weight, w_pix or w_time)
-    is wanted, which a kv_only step never does. Returns (grads, d_c): grads
-    maps each ParamKey in `keys` (every key when None) to its gradient
-    summed over the batch, and d_c lists each example's text-feature
-    gradient, cut back to its caption's length. Neither shares memory with
-    the workspace."""
+    scratch arrays, one set that the blocks share, as they run one after
+    another. Each attention sublayer writes its q, k and v gradients as the
+    column blocks of one array (self-attention's q, k and v;
+    cross-attention's k and v), so its input gradient is one matmul with
+    the context's stacked weights, and the gradients of its wanted stacked
+    weights one more (_stacked_grads()). Every pass runs down to the input
+    gradient, whatever `keys` holds. Returns (grads, d_c): grads maps each
+    ParamKey in `keys` (every key when None) to its gradient summed over
+    the batch, and d_c lists each example's text-feature gradient, cut back
+    to its caption's length. Neither shares memory with the workspace."""
     cfg = model.config
     p = model.params
     want = set(p) if keys is None else set(keys)
@@ -649,18 +634,17 @@ def backward(model, cache, d_eps, keys=None):
     d_c = np.zeros_like(ctx.c)
     d = cfg.d_model
     scale = cfg.d_attn ** -0.5
-    below = not want.isdisjoint((_block_keys(1)[0][0], _W_PIX, _W_TIME))
 
     deps = np.asarray(d_eps, dtype=np.float64).reshape(x.shape)
     if _W_OUT in want:
         grads[_W_OUT] = (b.out.T @ deps)[None, :] / d
-    sc = b.backward_scratch()
+    sc = b.scratch
     df = np.matmul(deps[:, None], p[_W_OUT], out=sc["df"])
     df /= d
 
     for l, bc in zip(range(cfg.blocks, 0, -1), reversed(b.blocks)):
         cross, self_attn, (k1, k2) = _block_keys(l)
-        wcq, wckv, wqkv = ctx.w[l - 1]
+        wcq, wckv, wqkv = ctx.fixed.wcq[l - 1], ctx.wckv[l - 1], ctx.fixed.wqkv[l - 1]
         r = bc["r"]
         # MLP residual
         if k2 in want:
@@ -682,15 +666,13 @@ def backward(model, cache, d_eps, keys=None):
         df1 = np.matmul(sc["dqkv"], wqkv, out=sc["df1"])
         df1 += df2
         # cross-attention residual
-        dq = l > 1 or below
-        _attn_backward(bc["ca"], sc["ca"], df1, cross[3], p, want, grads, dq)
+        _attn_backward(bc["ca"], sc["ca"], df1, cross[3], p, want, grads)
         _stacked_grads(sc["dq"], bc["f"], cross[:1], want, grads, scale)
         _stacked_grads(sc["dkv"], crows, cross[1:3], want, grads, scale)
         np.matmul(sc["dkv"], wckv, out=sc["dc"])
         d_c += sc["dc3"]
-        if dq:
-            df = np.matmul(sc["dq"], wcq, out=sc["df"])
-            df += df1
+        df = np.matmul(sc["dq"], wcq, out=sc["df"])
+        df += df1
 
     # input embedding
     if _W_PIX in want:

@@ -34,6 +34,7 @@ class FineTuneConfig:
 
     def __post_init__(self):
         check_section("train", {k: getattr(self, k) for k in _TRAIN})
+        check_section("pretrain", {"cond_dropout": self.cond_dropout})
 
 
 @dataclass
@@ -129,13 +130,13 @@ def _train(model, targets, reg, cfg, sched, modifier_indices):
     one sgd_step updates the arrays training changes: the scope's registry
     arrays and, under cfg.train_modifier, views of the modifier rows of the
     vocabulary's embeddings, keyed by token index as batch_gradients keys
-    their gradients. Under kv_only no weight of a context but the
-    cross-attention K/V changes, so every step's context shares one
-    denoiser.Weights; under all_unet each step builds its own."""
+    their gradients. When every trainable weight is a cross-attention K/V
+    one (kv_only), no weight a denoiser.Weights holds changes, so every
+    step's context shares one; otherwise each step builds its own."""
     rng = np.random.default_rng(cfg.seed)
     workspace = {}
     trainable = trainable_set(model, cfg.trainable_scope)
-    fixed = denoiser.weights(model) if cfg.trainable_scope == SCOPE_KV_ONLY else None
+    fixed = denoiser.weights(model) if all(k.role in KV_ROLES for k in trainable) else None
     mods = modifier_indices if cfg.train_modifier else ()
     arrays = {**{k: model.params[k] for k in trainable},
               **{i: model.vocab.embeddings[i] for i in mods}}

@@ -45,7 +45,8 @@ def _attend(q, k, v, key_bias):
     arrays, e, s_q and the output rows h among them. key_bias (B, S) leads
     the keys as a column, as context() stores cross-attention's keys (None:
     unbiased keys, as self-attention's)."""
-    a = denoiser._attention(q, k.shape[1], biased=key_bias is not None)
+    a = denoiser._attention(q, biased=key_bias is not None)
+    a["e"], a["eT"] = denoiser._key_major(q.shape[0], k.shape[1], q.shape[1])
     a["k"], a["v"] = k, v
     a["kb"] = k if key_bias is None else np.concatenate([key_bias[:, :, None], k], axis=2)
     denoiser._attend(a)
@@ -259,10 +260,10 @@ def test_an_out_of_range_image_leaves_each_pair_of_its_batch_its_own_bytes():
 
 
 def test_backward_for_some_keys_gives_the_bytes_of_backward_for_all(tiny_model):
-    """backward() stops at the lowest wanted weight: with the K/V keys alone
-    it skips block 1's cross-attention query gradient and the input gradient
-    below it, and the K/V gradients and every d_c keep the bytes of a call
-    for every key; so do the weights below, each asked for alone."""
+    """With the K/V keys alone, the K/V gradients and every d_c keep the
+    bytes of a backward() call for every key; so do the weights at the
+    bottom of the pass (block 1's cross-attention query weight, w_pix and
+    w_time), each asked for alone."""
     cfg = tiny_model.config
     vocab = tiny_model.vocab
     rng = np.random.default_rng(17)
@@ -380,8 +381,8 @@ def test_context_holds_each_forward_weight_transposed_and_read_only(tiny_model):
     rng = np.random.default_rng(13)
     ctx = denoiser.context(tiny_model, [rng.standard_normal((m, cfg.d_text)) for m in (3, 5)])
     s = cfg.d_attn ** -0.5
-    assert len(ctx.wt) == cfg.blocks
-    for l, wt in enumerate(ctx.wt, start=1):
+    assert len(ctx.fixed.wt) == cfg.blocks
+    for l, wt in enumerate(ctx.fixed.wt, start=1):
         self_w = [p[ParamKey(l, ROLE_SELF, name)] for name in ("wq", "wk", "wv", "wo")]
         want = (s * p[ParamKey(l, denoiser.ROLE_CROSS_QUERY, "wq")],
                 p[ParamKey(l, denoiser.ROLE_CROSS_OUT, "wo")],
@@ -392,9 +393,11 @@ def test_context_holds_each_forward_weight_transposed_and_read_only(tiny_model):
             assert got.flags.c_contiguous and got.shape == weight.T.shape
             assert got.tobytes() == np.ascontiguousarray(weight.T).tobytes(), l
     w_time = p[ParamKey(0, ROLE_OTHER, "w_time")]
-    assert ctx.w_timeT.flags.c_contiguous
-    assert ctx.w_timeT.tobytes() == np.ascontiguousarray(w_time.T).tobytes()
-    arrays = [ctx.c, ctx.w_timeT] + [a for group in ctx.kv + ctx.w + ctx.wt for a in group]
+    w_timeT = ctx.fixed.w_timeT
+    assert w_timeT.flags.c_contiguous
+    assert w_timeT.tobytes() == np.ascontiguousarray(w_time.T).tobytes()
+    w = tuple(zip(ctx.fixed.wcq, ctx.wckv, ctx.fixed.wqkv))
+    arrays = [ctx.c, w_timeT] + [a for group in ctx.kv + w + ctx.fixed.wt for a in group]
     assert len(arrays) == 2 + 13 * cfg.blocks
     for a in arrays:
         with pytest.raises(ValueError):

@@ -168,7 +168,7 @@ def test_ladder_rows_are_each_steps_own_time_rows_bit_for_bit(tiny_model, T, ste
             s_t = denoiser.sinusoidal_embedding(np.array([t] * len(captions)),
                                                 tiny_model.config.d_model)
             assert rows.s_t.tobytes() == s_t.tobytes(), t
-            assert rows.te.tobytes() == (s_t @ ctx.w_timeT).tobytes(), t
+            assert rows.te.tobytes() == (s_t @ ctx.fixed.w_timeT).tobytes(), t
             with pytest.raises(ValueError):
                 rows.te[0, 0] = 1.0
 
