@@ -120,20 +120,27 @@ def compress_delta(delta, energy):
     full-energy round trip is bit-exact."""
     if not 0.0 < energy <= 1.0:
         raise InvalidInput("energy must lie in (0, 1]")
-    out = {}
-    for key, entry in delta.entries.items():
-        dense = reconstruct_entry(entry)
-        if energy >= 1.0:
-            out[key] = DeltaEntry(dense=dense.copy(), shape=dense.shape, residual=0.0)
-            continue
-        u, sigma, vt = np.linalg.svd(dense, full_matrices=False)
-        # a zero delta keeps rank 0: no singular value is nonzero
-        frac = np.cumsum(sigma) / max(float(sigma.sum()), 1e-300)
-        r = int(np.searchsorted(frac, energy - 1e-12) + 1)
-        r = min(r, int(np.count_nonzero(sigma)))
-        residual = float(np.sqrt(np.sum(sigma[r:] ** 2)))
-        out[key] = DeltaEntry(u=u[:, :r].copy(), sigma=sigma[:r].copy(),
-                              vt=vt[:r].copy(), shape=dense.shape, residual=residual)
+    dense = {key: reconstruct_entry(entry) for key, entry in delta.entries.items()}
+    if energy >= 1.0:
+        out = {key: DeltaEntry(dense=d.copy(), shape=d.shape, residual=0.0)
+               for key, d in dense.items()}
+    else:
+        # one stacked SVD per entry shape: LAPACK factors each matrix of the
+        # stack alone, so the factors are those of one call per entry
+        by_shape = {}
+        for key, d in dense.items():
+            by_shape.setdefault(d.shape, []).append(key)
+        out = dict.fromkeys(dense)
+        for shape, keys in by_shape.items():
+            factors = np.linalg.svd(np.stack([dense[k] for k in keys]), full_matrices=False)
+            for key, u, sigma, vt in zip(keys, *factors):
+                # a zero delta keeps rank 0: no singular value is nonzero
+                frac = np.cumsum(sigma) / max(float(sigma.sum()), 1e-300)
+                r = int(np.searchsorted(frac, energy - 1e-12) + 1)
+                r = min(r, int(np.count_nonzero(sigma)))
+                residual = float(np.sqrt(np.sum(sigma[r:] ** 2)))
+                out[key] = DeltaEntry(u=u[:, :r].copy(), sigma=sigma[:r].copy(),
+                                      vt=vt[:r].copy(), shape=shape, residual=residual)
     return DeltaCheckpoint(entries=out,
                            modifier_embeddings=[(n, v.copy()) for n, v in
                                                 delta.modifier_embeddings],

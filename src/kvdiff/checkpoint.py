@@ -10,14 +10,16 @@ keys, no whitespace) so save -> load -> save is byte-identical.
 import itertools
 import json
 import math
+import operator
 import struct
-from dataclasses import asdict
+from itertools import repeat
 
 import numpy as np
 
 from . import textmod
 from .analysis import DeltaCheckpoint, DeltaEntry
-from .config import _is_int, _is_list, _is_number, _is_strings, _is_vocabulary, is_section
+from .config import (_all_ints, _is_int, _is_list, _is_number, _is_strings, _is_vocabulary,
+                     is_section)
 from .denoiser import KV_ROLES, DenoiserNet, ModelConfig, ParamRegistry, param_shapes
 from .diffusion import NoiseSchedule
 from .errors import CorruptCheckpoint, InvalidInput
@@ -30,20 +32,29 @@ KIND_DELTA = "delta"
 KIND_MERGED = "merged"
 
 
-def _is_str(v):
-    return isinstance(v, str)
+_TENSOR_FIELDS = operator.itemgetter("name", "dtype", "shape", "offset", "length")
 
 
-def _is_tensor(e):
-    return (isinstance(e, dict) and _is_str(e.get("name")) and e.get("dtype") == "f64"
-            and _is_list(e.get("shape"), _is_int) and _is_int(e.get("offset"))
-            and _is_int(e.get("length")))
+def _are_tensors(entries):
+    """Whether `entries` is a list of tensor entries {name, dtype "f64",
+    shape, offset, length}; each field is checked over every entry at once."""
+    if not isinstance(entries, list) or not all(map(isinstance, entries, repeat(dict))):
+        return False
+    try:
+        fields = list(zip(*map(_TENSOR_FIELDS, entries))) or [()] * 5
+    except KeyError:        # an entry lacks a field
+        return False
+    names, dtypes, shapes, offsets, lengths = fields
+    return (all(map(isinstance, names, repeat(str))) and dtypes.count("f64") == len(dtypes)
+            and set(map(type, shapes)) <= {list}
+            and _all_ints(list(itertools.chain.from_iterable(shapes)))
+            and _all_ints(offsets + lengths))
 
 
 def _is_modifier(m):
     # older checkpoints also carry a `trainable` flag, which is ignored
-    return (isinstance(m, dict) and _is_str(m.get("name")) and _is_int(m.get("token_index"))
-            and _is_str(m.get("source_token")))
+    return (isinstance(m, dict) and isinstance(m.get("name"), str)
+            and _is_int(m.get("token_index")) and isinstance(m.get("source_token"), str))
 
 
 def _is_delta_entry(e):
@@ -59,7 +70,7 @@ def _is_unique(items):
 
 # key -> check, for the manifest and for the meta keys each loader reads
 _MANIFEST = {"format": lambda v: v == "CDCK", "version": lambda v: v == VERSION,
-             "tensors": lambda v: _is_list(v, _is_tensor),
+             "tensors": _are_tensors,
              "meta": lambda v: isinstance(v, dict)}
 _MODEL_META = {"config": lambda v: is_section("model", v),
                "schedule": lambda v: is_section("schedule", v),
@@ -95,25 +106,25 @@ def _check_tensors(tensors, shapes, what):
 
 
 def save_container(path, tensors, meta):
-    """tensors: ordered dict name -> float64 ndarray."""
-    entries = []
-    payload = bytearray()
+    """tensors: ordered dict name -> float64 ndarray. The file is written
+    with one `write` of one buffer."""
+    entries, raws, offset = [], [], 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
         raw = arr.tobytes()
         entries.append({"name": name, "shape": list(arr.shape), "dtype": "f64",
-                        "offset": len(payload), "length": len(raw)})
-        payload.extend(raw)
+                        "offset": offset, "length": len(raw)})
+        raws.append(raw)
+        offset += len(raw)
     manifest = {"format": "CDCK", "version": VERSION, "tensors": entries, "meta": meta}
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(bytes(payload))
+        fh.write(b"".join([MAGIC, struct.pack("<I", len(blob)), blob, *raws]))
 
 
 def load_container(path):
+    """(tensors, meta) of the checkpoint at `path`. The payload is copied
+    once; each tensor is a writable view of that copy, and no two overlap."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 8 or raw[:4] != MAGIC:
@@ -125,15 +136,16 @@ def load_container(path):
         manifest = json.loads(raw[8:8 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"unreadable manifest: {exc}") from None
+    except RecursionError:
+        raise CorruptCheckpoint("unreadable manifest: nested too deeply") from None
     _check_table(manifest, _MANIFEST, "manifest")
-    entries, payload = manifest["tensors"], raw[8 + mlen:]
+    entries, size = manifest["tensors"], len(raw) - 8 - mlen
     # tensors lie back to back in manifest order: entry i holds float64
     # words bounds[i]:bounds[i + 1], and the payload ends with the last one
     bounds = list(itertools.accumulate((math.prod(e["shape"]) for e in entries), initial=0))
-    if len(payload) != 8 * bounds[-1]:
-        raise CorruptCheckpoint(f"payload is {len(payload)} bytes, its tensors fill "
-                                f"{8 * bounds[-1]}")
-    words = np.frombuffer(payload, dtype="<f8")
+    if size != 8 * bounds[-1]:
+        raise CorruptCheckpoint(f"payload is {size} bytes, its tensors fill {8 * bounds[-1]}")
+    words = np.frombuffer(raw, dtype="<f8", offset=8 + mlen).copy()
     tensors = {}
     for e, start, end in zip(entries, bounds, bounds[1:]):
         if (e["offset"], e["length"]) != (8 * start, 8 * (end - start)):
@@ -141,7 +153,7 @@ def load_container(path):
                                     f"{8 * start}..{8 * end}")
         if e["name"] in tensors:
             raise CorruptCheckpoint(f"duplicate tensor {e['name']!r}")
-        tensors[e["name"]] = words[start:end].reshape(e["shape"]).copy()
+        tensors[e["name"]] = words[start:end].reshape(e["shape"])
     finite = np.isfinite(words)
     if not finite.all():
         owner = entries[np.searchsorted(bounds, np.argmin(finite), side="right") - 1]["name"]
@@ -172,7 +184,7 @@ def save_model(path, model, sched, kind=KIND_BASE):
         tensors[_param_name(key)] = model.params[key]
     tensors["vocab/embeddings"] = vocab.embeddings
     meta = {"kind": kind,
-            "config": asdict(model.config),
+            "config": dict(vars(model.config)),
             "schedule": _sched_meta(sched),
             "vocab": {"tokens": vocab.tokens, "counts": vocab.corpus_counts,
                       "start_token": vocab.start_token, "seed": vocab.seed,
@@ -239,7 +251,7 @@ def save_delta(path, delta):
             "energy_kept": delta.energy_kept,
             "entries": entries_meta,
             "modifier_names": [name for name, _ in delta.modifier_embeddings],
-            "config": asdict(delta.config)}
+            "config": dict(vars(delta.config))}
     save_container(path, tensors, meta)
 
 

@@ -46,13 +46,15 @@ def write_pgm(path, image):
 
 
 def _write_json(path, payload):
+    """The bytes of json.dump(payload, fh, indent=1, sort_keys=True), in one
+    write (json.dump with an indent writes each chunk of its encoder)."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _write_manifest(artifact_path, command, cfg):
+def _write_manifest(artifact_path, command, cfg_hash):
     _write_json(f"{artifact_path}.manifest.json",
-                {"command": command, "config_hash": config_hash(cfg),
+                {"command": command, "config_hash": cfg_hash,
                  "format_version": FORMAT_VERSION})
 
 
@@ -294,8 +296,10 @@ def run_command(argv=None):
         return int(exc.code or 0)
     try:
         cfg = _load_config(args)
-        for path in args.func(args, cfg):
-            _write_manifest(path, args.command, cfg)
+        written = args.func(args, cfg)
+        cfg_hash = config_hash(cfg)
+        for path in written:
+            _write_manifest(path, args.command, cfg_hash)
     except (KVDiffError, OSError) as exc:     # bad input or an unreadable/unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2

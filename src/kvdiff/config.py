@@ -9,6 +9,7 @@ Library signatures and dataclasses (`ModelConfig`, `NoiseSchedule.linear`,
 import hashlib
 import json
 import sys
+from itertools import repeat
 
 from .errors import InvalidInput
 
@@ -60,8 +61,21 @@ def _is_list(v, item):
     return isinstance(v, list) and all(item(x) for x in v)
 
 
+# The _all_* checks give the verdict of _is_int and _is_number on every value
+# of a list or dict view parsed from JSON, with no Python call per value. json
+# builds exact types, so the set of the values' types stands for isinstance.
+def _all_ints(values):
+    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
+
+
+def _all_numbers(values):
+    # max >= abs(v), as _is_number: False for NaN and for ints past a float
+    return (set(map(type, values)) <= {int, float}
+            and all(map(sys.float_info.max.__ge__, map(abs, values))))
+
+
 def _is_strings(v):
-    return _is_list(v, lambda c: isinstance(c, str))
+    return isinstance(v, list) and all(map(isinstance, v, repeat(str)))
 
 
 def _is_pixel(v):
@@ -81,8 +95,7 @@ def _is_vocabulary(v):
     """The fields a vocabulary spec and a model checkpoint's vocab meta share;
     seed (default 0) and scale (default 1.0) may be left out."""
     return (isinstance(v, dict) and _is_strings(v.get("tokens"))
-            and isinstance(v.get("counts"), dict)
-            and all(_is_number(c) for c in v["counts"].values())
+            and isinstance(v.get("counts"), dict) and _all_numbers(v["counts"].values())
             and _is_int(v.get("seed", 0))
             and _is_number(v.get("scale", 1.0)) and v.get("scale", 1.0) >= 0)
 
@@ -108,6 +121,8 @@ def read_json(path, kind):
             data = json.load(fh)
         except ValueError as exc:
             raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise InvalidInput(f"{path} is not valid JSON: nested too deeply") from None
     what, check = JSON_KINDS[kind]
     if not check(data):
         raise InvalidInput(f"{path} is not {what}")
@@ -136,18 +151,18 @@ def _merge_checked(base, override, path=()):
     return out
 
 
-def _rules(section, key):
-    """The (check, what the value must be) pairs of config value
-    `section.key`, in order: its default's kind, then its `_VALIDATORS` rule."""
-    return (_KINDS[type(DEFAULT_CONFIG[section][key])],
-            _VALIDATORS.get((section, key), (lambda v: True, "")))
+# (section, key) -> the (check, what the value must be) pairs of config value
+# `section.key`, in order: its default's kind, then its `_VALIDATORS` rule
+_RULES = {(section, key): (_KINDS[type(default)],
+                           _VALIDATORS.get((section, key), (lambda v: True, "")))
+          for section, values in DEFAULT_CONFIG.items() for key, default in values.items()}
 
 
 def check_section(section, values):
     """Check `values`, a mapping of some keys of config `section`: each value
     must have its default's kind (`_KINDS`) and pass its `_VALIDATORS` rule."""
     for key, value in values.items():
-        for check, what in _rules(section, key):
+        for check, what in _RULES[section, key]:
             if not check(value):
                 raise InvalidInput(f"{section}.{key} must be {what}, got {value!r}")
 
@@ -156,7 +171,7 @@ def is_section(section, values):
     """Whether `values` is a whole config `section`: a table of exactly its
     keys, each value passing the rules check_section applies."""
     return (isinstance(values, dict) and values.keys() == DEFAULT_CONFIG[section].keys()
-            and all(check(v) for k, v in values.items() for check, _ in _rules(section, k)))
+            and all(check(v) for k, v in values.items() for check, _ in _RULES[section, k]))
 
 
 def load_config(path=None, overrides=None):
@@ -164,7 +179,8 @@ def load_config(path=None, overrides=None):
     Unknown keys are rejected with the offending key named. Sampler steps
     are checked against the T of the checkpoint sampled from, not here."""
     cfg = _merge_checked(DEFAULT_CONFIG, {} if path is None else read_json(path, "config"))
-    cfg = _merge_checked(cfg, overrides or {})
+    if overrides:
+        cfg = _merge_checked(cfg, overrides)
     for section, values in cfg.items():
         check_section(section, values)
     return cfg

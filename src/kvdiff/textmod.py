@@ -1,5 +1,6 @@
 """Word-level tokenizer, embedding table, modifier-token lifecycle, prompt templates."""
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -31,11 +32,11 @@ class Vocabulary:
     _index: dict = field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(set(self.tokens)) != len(self.tokens):
+        self._index = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(self._index) != len(self.tokens):
             raise InvalidInput("duplicate tokens in vocabulary")
         if self.embeddings.shape[0] != len(self.tokens):
             raise InvalidInput("embedding row count != vocabulary size")
-        self._index = {tok: i for i, tok in enumerate(self.tokens)}
 
     @property
     def dim(self):
@@ -48,9 +49,13 @@ class Vocabulary:
             raise UnknownToken(word) from None
 
     def clone(self):
-        return Vocabulary(tokens=list(self.tokens), embeddings=self.embeddings.copy(),
-                          start_token=self.start_token, corpus_counts=dict(self.corpus_counts),
-                          modifiers=dict(self.modifiers), seed=self.seed, scale=self.scale)
+        """A copy with its own tokens, embeddings, counts, modifier table and
+        index; the index is copied, not rebuilt and checked again."""
+        out = copy.copy(self)
+        out.tokens, out.embeddings = list(self.tokens), self.embeddings.copy()
+        out.corpus_counts, out.modifiers = dict(self.corpus_counts), dict(self.modifiers)
+        out._index = dict(self._index)
+        return out
 
 
 def build_vocabulary(tokens, counts, dim, seed=0, scale=1.0):
@@ -82,8 +87,10 @@ def save_vocabulary_spec(vocab, path):
 
 
 def tokenize(vocab, caption):
-    words = caption.split()
-    return [vocab.start_token] + [vocab.index(w) for w in words]
+    try:
+        return [vocab.start_token, *map(vocab._index.__getitem__, caption.split())]
+    except KeyError as exc:     # the first word missing from the vocabulary
+        raise UnknownToken(exc.args[0]) from None
 
 
 def select_rare_token(vocab, exclude=()):

@@ -124,6 +124,19 @@ def test_compress_residual_matches_dropped_singular_values(tiny_model):
                                                             abs=1e-10)
 
 
+def test_compress_factors_are_those_of_one_svd_per_entry(tiny_model):
+    """compress_delta factors same-shape entries in one stacked SVD; every
+    factor has the bytes of an SVD of its entry alone."""
+    delta = analysis.extract_delta(tiny_model, _tuned_pair(tiny_model))
+    compressed = analysis.compress_delta(delta, 0.8)
+    assert list(compressed.entries) == list(delta.entries)
+    for key, entry in compressed.entries.items():
+        u, sigma, vt = np.linalg.svd(delta.entries[key].dense, full_matrices=False)
+        r = entry.sigma.size
+        for got, want in ((entry.u, u[:, :r]), (entry.sigma, sigma[:r]), (entry.vt, vt[:r])):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def _one_entry_delta(a):
     return analysis.DeltaCheckpoint(
         entries={(0, ROLE_CROSS_KEY): analysis.DeltaEntry(dense=a, shape=a.shape)},

@@ -124,6 +124,34 @@ def test_model_round_trip(tmp_path, tiny_model, sched):
                                   tiny_model.vocab.embeddings)
 
 
+def _loaded_arrays(path):
+    """Every array `load_model` or `load_delta` returns for `path`."""
+    if checkpoint.load_container(path)[1]["kind"] == checkpoint.KIND_DELTA:
+        delta = checkpoint.load_delta(path)
+        return ([a for e in delta.entries.values() for a in (e.dense, e.u, e.sigma, e.vt)
+                 if a is not None] + [emb for _, emb in delta.modifier_embeddings])
+    model, _ = checkpoint.load_model(path)
+    return list(model.params.values()) + [model.vocab.embeddings]
+
+
+def test_loaded_arrays_are_writable_and_disjoint(tmp_path, tiny_model, sched):
+    """The tensors of a loaded checkpoint are views of one payload copy: each
+    is writable, and writing one changes no other array and no later load."""
+    good = _save_good(tmp_path, tiny_model, sched)
+    for path in good.values():
+        arrays = _loaded_arrays(path)
+        before = [a.copy() for a in arrays]
+        for i, a in enumerate(arrays):
+            assert a.flags.writeable
+            a[...] = -7.0
+            for j, b in enumerate(arrays):
+                if j != i:
+                    assert not np.shares_memory(a, b)
+                    np.testing.assert_array_equal(b, before[j] if j > i else -7.0)
+        for a, b in zip(_loaded_arrays(path), before):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_vocabulary_counts_read_from_a_spec_round_trip(tmp_path, tiny_model, sched):
     # a vocabulary spec may give any number as a count; a model built from
     # it must load back

@@ -3,9 +3,11 @@ error exit codes, manifests, and the image writer."""
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
+import struct
 import warnings
 
 import numpy as np
@@ -94,16 +96,21 @@ def _argv(d, command):
         "merge": ["merge", "--base", p("base.ckpt"), "--delta", p("delta.ckpt"),
                   "--targets", p("targets.json"),
                   "--reg-captions", p("reg_captions.json")],
+        "compress": ["compress", "--delta", p("delta.ckpt"), "--energy", "0.6"],
         "eval": ["eval", "--model", p("base.ckpt"), "--prompt", "photo of a blob",
                  "--targets", p("concept_blob.json"), "--num", "1", "--steps", "2"],
     }[command] + ["--out", p("out")]
 
 
-@pytest.mark.parametrize("broken", ["missing", "malformed", "wrong-shape"])
-@pytest.mark.parametrize("flag,command", [
+# the JSON input flags: config, vocabulary, datasets, targets and captions
+_JSON_INPUTS = [
     ("--config", "retrieve-reg"), ("--vocab", "retrieve-reg"),
     ("--pool", "retrieve-reg"), ("--data", "pretrain"), ("--concept", "finetune"),
-    ("--targets", "merge"), ("--reg-captions", "merge")])
+    ("--targets", "merge"), ("--reg-captions", "merge")]
+
+
+@pytest.mark.parametrize("broken", ["missing", "malformed", "wrong-shape"])
+@pytest.mark.parametrize("flag,command", _JSON_INPUTS)
 def test_bad_json_input_exits_2_with_one_error_line(tmp_path, cli_inputs, capsys,
                                                     flag, command, broken):
     bad = tmp_path / "bad.json"
@@ -119,6 +126,24 @@ def test_bad_json_input_exits_2_with_one_error_line(tmp_path, cli_inputs, capsys
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(bad) in err
+
+
+@pytest.mark.parametrize("flag,command", _JSON_INPUTS + [("--delta", "compress"),
+                                                         ("--base", "merge")])
+def test_deeply_nested_json_exits_2_with_one_error_line(tmp_path, cli_inputs, capsys,
+                                                        flag, command):
+    """JSON nested past the parser's recursion limit, as a JSON input or as a
+    checkpoint's manifest, is refused like malformed JSON."""
+    deep = ("[" * 200000 + "]" * 200000).encode()
+    is_checkpoint = flag in ("--delta", "--base")
+    bad = tmp_path / "deep"
+    bad.write_bytes(b"CDCK" + struct.pack("<I", len(deep)) + deep if is_checkpoint else deep)
+    argv = _argv(cli_inputs, command)
+    argv[argv.index(flag) + 1] = str(bad)
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "nested too deeply" in err and (is_checkpoint or str(bad) in err)
 
 
 @pytest.mark.parametrize("command,flag,literal", [
@@ -268,6 +293,26 @@ def test_retrieve_reg_writes_artifact_and_manifest(tmp_path, fixture_dir):
                         "--target-caption", "photo of a blob", "--out", default]) == 0
     with open(default + ".manifest.json") as fh:
         assert json.load(fh)["config_hash"] != manifest["config_hash"]
+
+
+def test_write_json_writes_the_bytes_of_json_dump(tmp_path, cli_inputs):
+    """The CLI's JSON writer writes what json.dump(payload, fh, indent=1,
+    sort_keys=True) writes, for a run manifest and for an `analyze` report."""
+    tuned = str(tmp_path / "tuned.ckpt")
+    model, sched = checkpoint.load_model(str(cli_inputs / "base.ckpt"))
+    for key in model.params.sorted_keys():
+        model.params[key] = model.params[key] + 0.01 * (1 + key.layer)
+    checkpoint.save_model(tuned, model, sched)
+    report = str(tmp_path / "analysis.json")
+    assert run_command(["analyze", "--base", str(cli_inputs / "base.ckpt"), "--tuned", tuned,
+                        "--out", report]) == 0
+    for path in (report, report + ".manifest.json"):
+        with open(path) as fh:
+            payload = json.load(fh)
+        expected = io.StringIO()
+        json.dump(payload, expected, indent=1, sort_keys=True)
+        with open(path) as fh:
+            assert fh.read() == expected.getvalue()
 
 
 def test_finetune_out_delta_outside_kv_only_fails_before_training(tmp_path, cli_inputs):
@@ -732,3 +777,55 @@ def test_mutated_target_list_exits_0_or_2_with_one_error_line(merge_inputs, targ
         "--delta", str(merge_inputs / "delta1.ckpt"), str(merge_inputs / "delta2.ckpt"),
         "--targets", str(path), "--reg-captions", str(merge_inputs / "reg_captions.json"),
         "--out", str(merge_inputs / "merged.ckpt")])
+
+
+# nested lists and tables up to a few hundred levels deep: within the JSON
+# parser's recursion limit, past any depth a manifest field has
+_NESTED = st.builds(
+    lambda depth, table: functools.reduce(lambda v, _: {"k": v} if table else [v],
+                                          range(depth), []),
+    st.integers(1, 300), st.booleans())
+
+
+@st.composite
+def _mutated_manifest(draw, manifest):
+    """A valid checkpoint manifest with one change: a key of the manifest, its
+    meta, the vocabulary, its counts, a tensor entry or a delta entry
+    dropped, or set to any JSON value, deep nesting included."""
+    manifest = copy.deepcopy(manifest)
+    meta = manifest["meta"]
+    tables = [manifest, meta, draw(st.sampled_from(manifest["tensors"]))]
+    if "vocab" in meta:
+        tables += [meta["vocab"], meta["vocab"]["counts"]]
+    if "entries" in meta:
+        tables.append(draw(st.sampled_from(meta["entries"])))
+    table = draw(st.sampled_from(tables))
+    key = draw(st.sampled_from(sorted(table)))
+    if draw(st.booleans()):
+        del table[key]
+    else:
+        table[key] = draw(_JSON | _NESTED)
+    return manifest
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), which=st.sampled_from(["base", "delta1"]))
+def test_mutated_checkpoint_manifest_exits_0_or_2_with_one_error_line(merge_inputs, data,
+                                                                      which):
+    """The base sent through `merge`, or a delta sent through `compress`, with
+    one change to its manifest, is used or refused with one `error:` line."""
+    raw = (merge_inputs / f"{which}.ckpt").read_bytes()
+    (n,) = struct.unpack("<I", raw[4:8])
+    blob = json.dumps(data.draw(_mutated_manifest(json.loads(raw[8:8 + n])))).encode()
+    path = merge_inputs / "mutant.ckpt"
+    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + n:])
+    targets = merge_inputs / "mutant_targets.json"
+    targets.write_text(json.dumps([["photo of a <new1> blob"], ["photo of a <new2> ring"]]))
+    out = str(merge_inputs / "mutant_out.ckpt")
+    argv = (["merge", "--base", str(path), "--delta", str(merge_inputs / "delta1.ckpt"),
+             str(merge_inputs / "delta2.ckpt"), "--targets", str(targets),
+             "--reg-captions", str(merge_inputs / "reg_captions.json"), "--out", out]
+            if which == "base" else
+            ["compress", "--delta", str(path), "--energy", "0.6", "--out", out])
+    with np.errstate(all="ignore"):
+        _exits_0_or_2_with_one_error_line(argv)

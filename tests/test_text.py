@@ -17,8 +17,9 @@ def test_tokenize_detokenize_round_trip(fx_vocab):
     seq = textmod.tokenize(fx_vocab, caption)
     assert seq[0] == fx_vocab.start_token
     assert " ".join(fx_vocab.tokens[i] for i in seq[1:]) == caption
-    with pytest.raises(UnknownToken):
-        textmod.tokenize(fx_vocab, "photo of a wombat")
+    with pytest.raises(UnknownToken) as err:
+        textmod.tokenize(fx_vocab, "photo of a wombat on quokka")
+    assert err.value.word == "wombat"
 
 
 def test_vocabulary_rejects_duplicates():
@@ -112,5 +113,10 @@ def test_clone_is_independent(fx_vocab):
     clone = fx_vocab.clone()
     clone.embeddings[0, 0] += 5.0
     assert fx_vocab.embeddings[0, 0] != clone.embeddings[0, 0]
+    tokens, index = list(fx_vocab.tokens), dict(fx_vocab._index)
     textmod.register_modifier(clone, "<new1>")
     assert "<new1>" not in fx_vocab.modifiers
+    assert fx_vocab.tokens == tokens and fx_vocab._index == index
+    assert clone.index("<new1>") == len(tokens)
+    with pytest.raises(UnknownToken):
+        fx_vocab.index("<new1>")
