@@ -178,6 +178,18 @@ def _key_major(b, s, n):
     return a, a.transpose(0, 2, 1)
 
 
+@functools.cache
+def _ones(n, value=1.0):
+    """A read-only vector of n copies of value, cached: the operand that
+    makes a sum over an axis of n a BLAS product. numpy multiplies a
+    stacked operand image by image, one matrix-vector product each, so no
+    image's sum depends on its batch; each term times +-1 is exact, so only
+    the order of the additions differs from a reduction's."""
+    a = np.full(n, value)
+    a.flags.writeable = False
+    return a
+
+
 # a padded key's logit: exp(_PAD - max) underflows to exactly 0. It is
 # finite, since -inf times the zeros OpenBLAS pads a partial block of
 # queries with makes the logits' product raise numpy's invalid-value warning
@@ -195,7 +207,8 @@ def _attention(q, biased=False):
     multiplies the keys' bias column; "shift", whether _attend() always
     shifts the logits by each query's max (the biased cross-attention, for
     the two reasons _attend() gives); the logits' max; each query's sum s_q
-    (B, N) and s_q3, its (B, N, 1) view; the output h3 (B, N, dp) and h,
+    (B, N), which _attend() writes as a product with ones, and s_q3, its
+    (B, N, 1) view, which divides the output; the output h3 (B, N, dp) and h,
     its (B*N, dp) rows. The caller sets the logits "e" (B, S, N), key-major,
     and "eT" (_key_major()), its keys "k" and values "v" (B, S, dp), "v1",
     the values ahead of a column of ones (B, S, 1 + dp), and "kb", the left
@@ -230,7 +243,8 @@ class _Binding:
     sublayer's dz, key-major like its e, with the arrays both sublayers use
     in turn (dh, its (B, N, dp) view, the pair "dhT" of that view's
     transpose and the C-contiguous array (B, dp + 1, N) it is copied into,
-    whose last row "rowsum" holds -rowsum(dh * h), and dhh).
+    whose last row "rowsum" holds -rowsum(dh * h), and dhh, the products
+    dh * h, which a vector of -1s multiplies into that row).
 
     bind_keys() builds every array whose shape holds S, at construction and
     again when S changes: the cross-attention logits, and backward's dz,
@@ -329,14 +343,17 @@ def _attend(a):
 
     The softmax is left unnormalized: a["e"] holds e = exp(logits - max),
     key-major, a (B, S, N) with e[b, j, i] the term of key j for query i, so
-    the max and the sum reduce across its S rows and broadcast along its
-    contiguous query axis, and a["s_q"] each query's sum. The shift by each
-    query's max is taken where it is needed. Cross-attention always takes it
-    (a["shift"]), for two reasons: its padded keys hold _PAD, and with the
-    shift a one-key caption's key gets a weight of exactly 1 (exp(0) over a
-    sum of 1), so the unconditional caption's row has the same bytes padded
-    or not (under the range rule below, a padded row, out of range through
-    its _PAD logits, would be shifted and an unpadded one not).
+    the max reduces across its S rows and broadcasts along its contiguous
+    query axis. a["s_q"] holds each query's sum, the product of a vector of
+    S ones with each image's e (_ones()), which runs several times faster
+    than a reduction over the strided key axis; each of its terms is exact
+    (1 * x == x). The shift by each query's max is taken where it is
+    needed. Cross-attention always takes it (a["shift"]), for two reasons:
+    its padded keys hold _PAD, and with the shift a one-key caption's key
+    gets a weight of exactly 1 (exp(0) over a sum of 1), so the
+    unconditional caption's row has the same bytes padded or not (under the
+    range rule below, a padded row, out of range through its _PAD logits,
+    would be shifted and an unpadded one not).
     Self-attention takes it only when some logit of the call leaves
     [-_SHIFT_FREE, _SHIFT_FREE], and then image by image, for the images
     whose own logits leave it, so an image's bytes never depend on the rest
@@ -348,8 +365,7 @@ def _attend(a):
     q_view, qT, q_rows = a["qT"]
     q_rows[...] = q_view
     e = np.matmul(a["kb"], qT, out=a["e"])
-    # the reductions as ufunc methods, which skip np.max's and np.sum's
-    # Python-level dispatch
+    # the max as a ufunc method, which skips np.max's Python-level dispatch
     if a["shift"]:
         e -= np.maximum.reduce(e, axis=1, keepdims=True, out=a["max"])
     elif not _in_range(e):
@@ -357,7 +373,7 @@ def _attend(a):
             if not _in_range(eb):
                 eb -= np.maximum.reduce(eb, axis=0, keepdims=True, out=mb)
     np.exp(e, out=e)
-    np.add.reduce(e, axis=1, out=a["s_q"])
+    np.matmul(_ones(e.shape[1]), e, out=a["s_q"])
     h = np.matmul(a["eT"], a["v"], out=a["h3"])
     h /= a["s_q3"]
 
@@ -373,7 +389,8 @@ def _attn_backward(a, g, dout, ko, p, want, grads):
     dz = e * (v dh^T - rowsum(dh * h)), key-major like e. The row sum is a
     term of the product: v1, the values ahead of a column of ones, times
     g["dhT1"], the C-contiguous copy of dh^T (as in _attend()) above a row
-    of -rowsum(dh * h)."""
+    of -rowsum(dh * h), itself a product, of dh * h with a vector of dp -1s
+    (_ones()), written into that row."""
     if ko in want:
         grads[ko] = dout.T @ a["h"]
     np.matmul(dout, p[ko], out=g["dh"])
@@ -384,8 +401,8 @@ def _attn_backward(a, g, dout, ko, p, want, grads):
     # place; colsum(A * dA) = s_q rowsum(dh * h), since h = A^T V
     dhT, dhT_copy = g["dhT"]
     dhT_copy[...] = dhT
-    rowsum = np.add.reduce(np.multiply(dh, a["h3"], out=g["dhh"]), axis=2, out=g["rowsum"])
-    np.negative(rowsum, out=rowsum)
+    dhh = np.multiply(dh, a["h3"], out=g["dhh"])
+    np.matmul(dhh, _ones(dhh.shape[2], -1.0), out=g["rowsum"])
     dz = np.matmul(a["v1"], g["dhT1"], out=g["dz"])
     dz *= a["e"]
     np.matmul(g["dzT"], a["k"], out=g["dq"])
@@ -678,7 +695,7 @@ def backward(model, cache, d_eps, keys=None):
     if _W_PIX in want:
         grads[_W_PIX] = (df.T @ x)[None, :]
     if _W_TIME in want:
-        grads[_W_TIME] = df.reshape(bsz, -1, d).sum(axis=1).T @ cache["s_t"]
+        grads[_W_TIME] = (_ones(cfg.n_tokens) @ df.reshape(bsz, -1, d)).T @ cache["s_t"]
     return grads, [d_c[i, :m] for i, m in enumerate(ctx.lengths)]
 
 

@@ -149,7 +149,7 @@ def register_modifier_with_embedding(vocab, name, embedding, source_token=""):
 
 def encode_caption(vocab, seq):
     seq = list(seq)
-    if any(not 0 <= i < len(vocab.tokens) for i in seq):
+    if seq and not (0 <= min(seq) and max(seq) < len(vocab.tokens)):
         raise InvalidInput("token index out of range")
     return vocab.embeddings[seq]    # fancy indexing copies
 

@@ -1,6 +1,7 @@
 """Noise-prediction network: attention oracle, backprop fidelity, registry."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -117,6 +118,64 @@ def test_key_bias_column_leaves_real_logits_and_zeroes_padded_weights(tiny_model
             e = np.exp(plain - plain.max(axis=0))
             assert ca["e"][i, :m].tobytes() == e.tobytes(), (l, i)
             assert np.all(ca["e"][i, m:] == 0.0)
+
+
+def _mixed_caption_forward(seed):
+    """A default-architecture forward over captions of 5, 1, 3 and 1 tokens
+    (the start token alone, padded beside the longer ones), with its
+    zeroed output head replaced; returns the model, the indices of the
+    start-token-only captions, the Context, the prediction and the cache."""
+    vocab = fixtures.fixture_vocab()
+    model = denoiser.build_model(seed=seed, vocab=vocab)
+    cfg = model.config
+    rng = np.random.default_rng(seed)
+    model.params[ParamKey(0, ROLE_OTHER, "w_out")] = rng.standard_normal((1, cfg.d_model))
+    captions = ("photo of a blob", "", "a ring", "")
+    ctx = denoiser.context(model, [textmod.encode_caption(vocab, textmod.tokenize(vocab, c))
+                                   for c in captions])
+    x = rng.standard_normal((len(captions), cfg.height, cfg.width))
+    eps, cache = denoiser.forward(model, x, [3, 40, 90, 7], ctx)
+    return model, [i for i, c in enumerate(captions) if not c], ctx, eps, cache
+
+
+def test_each_query_sum_matches_an_exact_sum_of_its_terms():
+    """s_q, a product of the key-major e with a vector of ones, is each
+    query's sum of its S terms to 1e-15 relative against math.fsum, in both
+    sublayers of every block."""
+    _, _, _, _, cache = _mixed_caption_forward(31)
+    for l, bc in enumerate(cache["blocks"], start=1):
+        for name in ("sa", "ca"):
+            e, s_q = bc[name]["e"], bc[name]["s_q"]
+            for b, i in np.ndindex(s_q.shape):
+                exact = math.fsum(e[b, :, i].tolist())
+                assert abs(s_q[b, i] - exact) <= 1e-15 * exact, (l, name, b, i)
+
+
+def test_a_start_token_caption_padded_beside_longer_ones_sums_to_exactly_1():
+    """The unconditional caption is one real key: with the shift its term is
+    exp(0) == 1 and its padded keys' terms are exact zeros, so each of its
+    queries' s_q is exactly 1.0 and its output h the key's value."""
+    _, uncond, ctx, _, cache = _mixed_caption_forward(32)
+    for l, bc in enumerate(cache["blocks"], start=1):
+        ca = bc["ca"]
+        for i in uncond:
+            assert np.all(ca["s_q"][i] == 1.0), (l, i)
+            assert np.all(ca["h3"][i] == ctx.kv[l - 1][2][i, 0]), (l, i)
+
+
+def test_backward_rowsum_is_minus_the_sum_of_dh_times_h():
+    """backward()'s rowsum row, a product of dh * h with a vector of -1s, is
+    -sum_k dh[k] h[k] per query against a loop of exact sums. The scratch
+    arrays hold the last sublayer backward() ran: block 1's
+    cross-attention."""
+    model, _, _, eps, cache = _mixed_caption_forward(33)
+    denoiser.backward(model, cache, np.random.default_rng(34).standard_normal(eps.shape))
+    g = cache["binding"].scratch["ca"]
+    dh, h = g["dh3"], cache["blocks"][0]["ca"]["h3"]
+    for b, i in np.ndindex(dh.shape[:2]):
+        terms = (dh[b, i] * h[b, i]).tolist()
+        exact = -math.fsum(terms)
+        assert abs(g["rowsum"][b, i] - exact) <= 1e-15 * math.fsum(map(abs, terms)), (b, i)
 
 
 def test_fused_projection_blocks_are_views(tiny_model):

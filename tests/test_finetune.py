@@ -347,9 +347,11 @@ def test_a_reused_workspace_allocates_almost_nothing():
     """A second default-size training step with the workspace of the first
     allocates no activations or scratch arrays. Measured peak above the
     call's start: 3.03 MB with a fresh workspace per call, 154 KB with the
-    reused one, of which 64 KB is a numpy iterator buffer for broadcasting
-    ufuncs and most of the rest the batch's inputs and the returned
-    gradients."""
+    reused one, of which up to 64 KB is a numpy iterator buffer for
+    broadcasting ufuncs (the peak reads 110 KB under np.setbufsize(1024))
+    and most of the rest the batch's inputs and the returned gradients. The
+    attention sums, products with cached vectors of ones, write into the
+    workspace and add nothing."""
     model = denoiser.build_model(seed=0, vocab=fixtures.fixture_vocab())
     mod = textmod.register_modifier(model.vocab, "<new1>")
     # captions of two lengths, so the cross-attention keys are padded
