@@ -65,11 +65,7 @@ def forward_noise(x0, t, eps, sched):
     if t.ndim == 0:
         ab = sched.alpha_bar_at(int(t))
     elif x0.ndim == 3 and t.shape == x0.shape[:1]:
-        ts = t.tolist()
-        if ts and 1 <= min(ts) and max(ts) <= sched.T:
-            ab = sched.alpha_bar[t - 1][:, None, None]
-        else:   # alpha_bar_at() reads t == 0 as 1 and raises for t outside [0, T]
-            ab = np.array([sched.alpha_bar_at(s) for s in ts])[:, None, None]
+        ab = np.array([sched.alpha_bar_at(s) for s in t.tolist()])[:, None, None]
     else:
         raise InvalidInput(f"expected one timestep per image of {x0.shape}, got {t.shape}")
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
